@@ -2,7 +2,7 @@
 
 from repro.core.cgt import CGT
 from repro.core.dggt import DggtConfig, DggtEngine
-from repro.core.dynamic_graph import VIRTUAL, DynamicGrammarGraph, DynNode
+from repro.core.dynamic_graph import VIRTUAL, InternedDynamicGraph
 from repro.core.expression import (
     Expr,
     cgt_to_expression,
@@ -14,22 +14,15 @@ from repro.core.expression import (
 from repro.core.grammar_pruning import (
     combination_conflicts,
     conflict_pairs_for,
-    prune_combinations,
 )
 from repro.core.orphan import candidate_governors, relocation_variants
-from repro.core.size_pruning import (
-    SizedCombination,
-    bound_combination,
-    exact_tree_cost,
-    prune_by_size,
-)
+from repro.core.size_pruning import exact_tree_cost
 
 __all__ = [
     "CGT",
     "DggtEngine",
     "DggtConfig",
-    "DynamicGrammarGraph",
-    "DynNode",
+    "InternedDynamicGraph",
     "VIRTUAL",
     "Expr",
     "cgt_to_expression",
@@ -39,11 +32,7 @@ __all__ = [
     "direct_api_children",
     "conflict_pairs_for",
     "combination_conflicts",
-    "prune_combinations",
     "relocation_variants",
     "candidate_governors",
-    "SizedCombination",
-    "bound_combination",
-    "prune_by_size",
     "exact_tree_cost",
 ]

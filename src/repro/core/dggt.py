@@ -29,24 +29,9 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cgt import CGT
-from repro.core.dynamic_graph import (
-    VIRTUAL,
-    DynamicGrammarGraph,
-    DynKey,
-    InternedDynamicGraph,
-)
-from repro.core.grammar_pruning import (
-    combination_conflicts,
-    conflict_masks_for,
-    conflict_pairs_for,
-)
+from repro.core.dynamic_graph import VIRTUAL, InternedDynamicGraph
+from repro.core.grammar_pruning import conflict_masks_for
 from repro.core.orphan import relocation_variants
-from repro.core.size_pruning import (
-    _path_api_sizes,
-    bound_combination,
-    exact_tree_cost,
-    exact_tree_cost_enc,
-)
 from repro.errors import SynthesisError, SynthesisTimeout
 from repro.grammar.interning import GraphInterner, IntPath, interner_for
 from repro.grammar.path_cache import PathCache
@@ -59,33 +44,21 @@ from repro.synthesis.problem import (
 from repro.synthesis.result import SynthesisOutcome, SynthesisStats
 from repro.synthesis.stages import SynthesisContext, synthesize_with
 
-#: One sibling group: (dependent dep-node id, its usable candidate paths).
-SiblingEntry = Tuple[int, List[CandidatePath]]
-
-#: One usable candidate path in the interned engine:
-#: (the path, its int encoding, the predecessor's DP slot,
-#:  conflict bit, conflict mask, path size).
-IntRec = Tuple[CandidatePath, IntPath, int, int, int, int]
-
-#: One interned sibling group: (dependent dep-node id, its usable records).
-IntSiblingEntry = Tuple[int, List[IntRec]]
+#: One usable candidate path of a sibling group: (the path, its int
+#: encoding, the predecessor's DP slot, conflict bit, conflict mask, path
+#: size, then the encoding's five bitmasks and its sink bit).
+IntRec = Tuple[CandidatePath, IntPath, int, int, int, int, int, int, int, int, int, int]
 
 
 @dataclass(frozen=True)
 class DggtConfig:
-    """Optimization toggles (all on = the paper's full system).
-
-    ``interned`` selects the integer-interned array core (bitmask conflict
-    pruning, flat DP tables); the legacy object engine stays available for
-    equivalence testing — both produce byte-identical codelets and stats.
-    """
+    """Optimization toggles (all on = the paper's full system)."""
 
     grammar_pruning: bool = True
     size_pruning: bool = True
     orphan_relocation: bool = True
     max_reloc_variants: int = 16
     deadline_stride: int = 256
-    interned: bool = True
 
 
 #: Shared (False, 0) merge-info value — one tuple for every invalid merge.
@@ -222,19 +195,11 @@ class DggtEngine:
         deadline: Deadline,
         stats: SynthesisStats,
     ) -> Tuple[CGT, int, int]:
-        if self.config.interned:
-            return self._synthesize_variant_interned(problem, deadline, stats)
-        return self._synthesize_variant_object(problem, deadline, stats)
-
-    def _synthesize_variant_object(
-        self,
-        problem: SynthesisProblem,
-        deadline: Deadline,
-        stats: SynthesisStats,
-    ) -> Tuple[CGT, int, int]:
         graph = problem.domain.graph
+        interner = interner_for(graph)
+        index = interner.index
         dep = problem.dep_graph
-        dyng = DynamicGrammarGraph(graph)
+        dyng = InternedDynamicGraph(interner)
         orphans = set(problem.orphan_nodes())
         cache = problem.domain.path_cache
 
@@ -266,13 +231,15 @@ class DggtEngine:
                     e.dep: problem.paths_of(e) for e in effective
                 }
                 self._case_two(
-                    dyng, node_id, gov_cands, entries, stats, deadline, graph,
-                    cache,
+                    dyng, node_id, gov_cands, entries, stats, deadline, cache
                 )
-            if not any(
-                dyng.has((node_id, c.node_id))
-                for c in problem.candidates.get(node_id, ())
-            ):
+            covered = False
+            for c in problem.candidates.get(node_id, ()):
+                c_int = index.get(c.node_id)
+                if c_int is not None and dyng.has(node_id, c_int):
+                    covered = True
+                    break
+            if not covered:
                 word = dep.node(node_id).word
                 raise SynthesisError(
                     f"no partial CGT covers the subtree of {word!r}"
@@ -299,14 +266,12 @@ class DggtEngine:
                 virtual_entries,
                 stats,
                 deadline,
-                graph,
                 cache,
             )
 
-        final_key: DynKey = (VIRTUAL, graph.start_id)
-        if not dyng.has(final_key):
+        if not dyng.has(VIRTUAL, interner.start):
             raise SynthesisError("no CGT reaches the grammar start symbol")
-        edges, bindings, size, rank = dyng.optimal(final_key)
+        edges, bindings, size, rank = dyng.optimal(VIRTUAL, interner.start)
         cgt = CGT(edges, bindings)
         if not cgt.is_grammar_valid(graph):
             # Cross-level prefix overlap (the pathology Sec. V-B discusses)
@@ -323,282 +288,6 @@ class DggtEngine:
 
     @staticmethod
     def _case_one(
-        dyng: DynamicGrammarGraph,
-        gov_dep_id: int,
-        child_dep_id: int,
-        paths: Sequence[CandidatePath],
-        stats: SynthesisStats,
-    ) -> None:
-        for cp in paths:
-            pred_key = (child_dep_id, cp.dst)
-            if not dyng.has(pred_key):
-                continue
-            dyng.offer_path(gov_dep_id, cp, pred_key)
-            stats.n_combinations += 1
-            stats.n_merged += 1
-            stats.n_valid_cgts += 1
-
-    # ------------------------------------------------------------------
-    # Case II: sibling edges (Algorithm 1 lines 12-22)
-    # ------------------------------------------------------------------
-
-    def _case_two(
-        self,
-        dyng: DynamicGrammarGraph,
-        gov_dep_id: int,
-        gov_candidates: Sequence[EndpointCandidate],
-        entries: Dict[int, List[CandidatePath]],
-        stats: SynthesisStats,
-        deadline: Deadline,
-        graph,
-        cache: Optional[PathCache] = None,
-    ) -> None:
-        child_ids = sorted(entries)
-        for gov_cand in gov_candidates:
-            sibling_lists: List[SiblingEntry] = []
-            viable = True
-            for child in child_ids:
-                usable = [
-                    cp
-                    for cp in entries[child]
-                    if cp.src == gov_cand.node_id
-                    and dyng.has((child, cp.dst))
-                ]
-                if not usable:
-                    viable = False
-                    break
-                sibling_lists.append((child, usable))
-            if not viable:
-                continue
-            self._process_sibling_group(
-                dyng, gov_dep_id, gov_cand, sibling_lists, stats,
-                deadline, graph, cache,
-            )
-
-    def _process_sibling_group(
-        self,
-        dyng: DynamicGrammarGraph,
-        gov_dep_id: int,
-        gov_cand: EndpointCandidate,
-        sibling_lists: Sequence[SiblingEntry],
-        stats: SynthesisStats,
-        deadline: Deadline,
-        graph,
-        cache: Optional[PathCache] = None,
-    ) -> None:
-        src_node_id = gov_cand.node_id
-        child_ids = [child for child, _paths in sibling_lists]
-        all_paths = [cp for _child, paths in sibling_lists for cp in paths]
-        pairs = (
-            conflict_pairs_for(graph, all_paths, cache=cache)
-            if self.config.grammar_pruning
-            else set()
-        )
-        path_sizes = _path_api_sizes(graph, all_paths, cache=cache)
-
-        # Enumerate this level's combinations (the per-level p^e the paper
-        # accepts), filtering conflicts before any merging happens.
-        survivors: List[Tuple[CandidatePath, ...]] = []
-        count = 0
-        for combo in product(*[paths for _child, paths in sibling_lists]):
-            count += 1
-            if count % self.config.deadline_stride == 0:
-                deadline.check()
-            ids = [cp.path_id for cp in combo]
-            if pairs and combination_conflicts(ids, pairs):
-                stats.pruned_by_grammar += 1
-                continue
-            survivors.append(combo)
-        stats.n_combinations += count
-
-        # min_size of every distinct (child, sink) pair, looked up once per
-        # sibling group: offers during this group only target the governor's
-        # level, so the values cannot change mid-group.
-        min_sizes = [
-            {cp.dst: dyng.min_size((child, cp.dst)) for cp in paths}
-            for child, paths in sibling_lists
-        ]
-
-        sized = [
-            bound_combination(
-                graph,
-                combo,
-                [ms[cp.dst] for ms, cp in zip(min_sizes, combo)],
-                path_sizes,
-            )
-            for combo in survivors
-        ]
-
-        # Size-based pruning (Sec. V-C), run as lossless branch-and-bound:
-        # combinations are processed in ascending lower-bound order and a
-        # combination is skipped only when its optimistic total exceeds the
-        # exact total of some already-merged *valid* combination.  (A pure
-        # bound-vs-bound filter could discard a valid combination on the
-        # strength of an invalid one — validity is only known after the
-        # merge, e.g. cross-level "or" conflicts through memoized subtrees.)
-        sized.sort(key=lambda sc: (sc.lower, sc.upper))
-        best_total: Optional[int] = None
-        for idx, sc in enumerate(sized):
-            if idx % self.config.deadline_stride == 0:
-                deadline.check()
-            if (
-                self.config.size_pruning
-                and best_total is not None
-                and sc.lower > best_total
-            ):
-                stats.pruned_by_size += len(sized) - idx
-                break
-            combo = sc.combo
-            stats.n_merged += 1
-            valid, tree_cost = self._merge_info(graph, combo, cache)
-            if not valid:
-                continue  # reconvergent or grammar-conflicting merge
-            leaf_keys = [
-                (child, cp.dst) for child, cp in zip(child_ids, combo)
-            ]
-            created = dyng.add_pcgt(
-                gov_dep_id, src_node_id, combo, leaf_keys, tree_cost,
-                gov_rank=gov_cand.rank,
-            )
-            if created is None:
-                continue  # binding conflict or cross-level invalidity
-            stats.n_valid_cgts += 1
-            total = tree_cost + sum(
-                ms[cp.dst] for ms, cp in zip(min_sizes, combo)
-            )
-            if best_total is None or total < best_total:
-                best_total = total
-
-    # ------------------------------------------------------------------
-    # Merge validity/cost (memoized per combination across queries)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _merge_info(
-        graph,
-        combo: Sequence[CandidatePath],
-        cache: Optional[PathCache] = None,
-    ) -> Tuple[bool, int]:
-        """(is the merged level-tree a valid CGT, its exact cost).
-
-        Both facts are pure functions of the combination's path node
-        sequences and the grammar graph — the per-level dynamic-program
-        substructure — so with a domain :class:`PathCache` they are
-        computed once per distinct combination across all queries.  The
-        layer is keyed by the paths' interned encodings so the interned
-        and legacy engines share every entry.  The cost is 0 (unused)
-        for invalid merges.
-        """
-
-        def compute() -> Tuple[bool, int]:
-            tree = CGT.from_paths(cp.path for cp in combo)
-            if not tree.is_tree() or tree.or_conflicts(graph):
-                return (False, 0)
-            return (True, exact_tree_cost(graph, combo))
-
-        if cache is None:
-            return compute()
-        path_ints = cache.interner.path_ints
-        key = tuple(path_ints(cp.path.nodes) for cp in combo)
-        return cache.merge_info(key, compute)
-
-    # ------------------------------------------------------------------
-    # Interned engine: the same algorithm over dense int identity.
-    # Every branch, counter increment, and tie-break below mirrors the
-    # object engine exactly — the equivalence suite holds both engines to
-    # byte-identical codelets and identical (non-cache) stats.
-    # ------------------------------------------------------------------
-
-    def _synthesize_variant_interned(
-        self,
-        problem: SynthesisProblem,
-        deadline: Deadline,
-        stats: SynthesisStats,
-    ) -> Tuple[CGT, int, int]:
-        graph = problem.domain.graph
-        interner = interner_for(graph)
-        index = interner.index
-        dep = problem.dep_graph
-        dyng = InternedDynamicGraph(interner)
-        orphans = set(problem.orphan_nodes())
-        cache = problem.domain.path_cache
-
-        order = sorted(
-            (n.node_id for n in dep.nodes()),
-            key=lambda n: (-dep.depth(n), n),
-        )
-        for node_id in order:
-            effective = [
-                e for e in dep.children(node_id) if e.dep not in orphans
-            ]
-            if not effective:
-                for cand in problem.candidates.get(node_id, ()):
-                    dyng.add_leaf(node_id, cand)
-                continue
-            if len(effective) == 1:
-                edge = effective[0]
-                self._case_one_interned(
-                    dyng, node_id, edge.dep, problem.paths_of(edge), stats
-                )
-            else:
-                gov_cands = [
-                    c
-                    for c in problem.candidates.get(node_id, ())
-                    if not c.is_literal
-                ]
-                entries = {
-                    e.dep: problem.paths_of(e) for e in effective
-                }
-                self._case_two_interned(
-                    dyng, node_id, gov_cands, entries, stats, deadline, cache
-                )
-            covered = False
-            for c in problem.candidates.get(node_id, ()):
-                c_int = index.get(c.node_id)
-                if c_int is not None and dyng.has(node_id, c_int):
-                    covered = True
-                    break
-            if not covered:
-                word = dep.node(node_id).word
-                raise SynthesisError(
-                    f"no partial CGT covers the subtree of {word!r}"
-                )
-
-        virtual_entries: Dict[int, List[CandidatePath]] = {
-            dep.root: list(problem.root_paths)
-        }
-        for orphan in sorted(orphans):
-            virtual_entries[orphan] = problem.start_attach_paths(orphan)
-
-        if len(virtual_entries) == 1:
-            self._case_one_interned(
-                dyng, VIRTUAL, dep.root, virtual_entries[dep.root], stats
-            )
-        else:
-            start_cand = EndpointCandidate(node_id=graph.start_id)
-            self._case_two_interned(
-                dyng,
-                VIRTUAL,
-                [start_cand],
-                virtual_entries,
-                stats,
-                deadline,
-                cache,
-            )
-
-        if not dyng.has(VIRTUAL, interner.start):
-            raise SynthesisError("no CGT reaches the grammar start symbol")
-        edges, bindings, size, rank = dyng.optimal(VIRTUAL, interner.start)
-        cgt = CGT(edges, bindings)
-        if not cgt.is_grammar_valid(graph):
-            raise SynthesisError(
-                "joined optimal CGT is not grammar-valid "
-                "(cross-level prefix overlap)"
-            )
-        return cgt, size, rank
-
-    @staticmethod
-    def _case_one_interned(
         dyng: InternedDynamicGraph,
         gov_dep_id: int,
         child_dep_id: int,
@@ -619,7 +308,11 @@ class DggtEngine:
             stats.n_merged += 1
             stats.n_valid_cgts += 1
 
-    def _case_two_interned(
+    # ------------------------------------------------------------------
+    # Case II: sibling edges (Algorithm 1 lines 12-22)
+    # ------------------------------------------------------------------
+
+    def _case_two(
         self,
         dyng: InternedDynamicGraph,
         gov_dep_id: int,
@@ -658,12 +351,12 @@ class DggtEngine:
                 sibling_lists.append((child, usable))
             if not viable:
                 continue
-            self._process_sibling_group_interned(
+            self._process_sibling_group(
                 dyng, gov_dep_id, gov_cand, gov_int, sibling_lists, stats,
                 deadline, cache,
             )
 
-    def _process_sibling_group_interned(
+    def _process_sibling_group(
         self,
         dyng: InternedDynamicGraph,
         gov_dep_id: int,
@@ -730,9 +423,13 @@ class DggtEngine:
             survivors.append(combo)
         stats.n_combinations += count
 
-        # (lower, upper, combo, pred_total): the SizedCombination bounds as
-        # a flat tuple; pred sizes read straight off the DP arrays (stable
-        # mid-group — offers only target the governor's level).
+        # (lower, upper, combo, pred_total): the Sec. V-C cost bounds of a
+        # combination, folding in the memoized min_size of every sink so
+        # pruning stays lossless for the full partial-CGT cost.  Lower: the
+        # tree weighs at least its heaviest path; upper: merging
+        # deduplicates at least the shared governor API.  Pred sizes read
+        # straight off the DP arrays (stable mid-group — offers only target
+        # the governor's level).
         pred_size = dyng._size
         src_weight = 1 if interner.is_api[gov_int] else 0
         sized = []
@@ -750,15 +447,22 @@ class DggtEngine:
             upper = size_sum - (len(combo) - 1) * src_weight + pred_total
             sized.append((lower, upper, combo, pred_total))
 
+        # Size-based pruning (Sec. V-C), run as lossless branch-and-bound:
+        # combinations are processed in ascending lower-bound order and a
+        # combination is skipped only when its optimistic total exceeds the
+        # exact total of some already-merged *valid* combination.  (A pure
+        # bound-vs-bound filter could discard a valid combination on the
+        # strength of an invalid one — validity is only known after the
+        # merge, e.g. cross-level "or" conflicts through memoized subtrees.)
         sized.sort(key=lambda item: (item[0], item[1]))
         size_pruning = self.config.size_pruning
         gov_rank = gov_cand.rank
         best_total: Optional[int] = None
         # Locals for the inlined merge validity/cost algebra (the bitmask
         # form of merge_valid_enc + exact_tree_cost_enc, fed from the
-        # masks hoisted into the records above).  The shared merge cache
-        # layer still sees every lookup on the same interned key, so the
-        # persisted layer stays byte-identical with the legacy engine.
+        # masks hoisted into the records above).  The merge cache layer
+        # still sees every lookup on the same interned key, so its
+        # counters and persisted snapshot entries keep their meaning.
         or_mask = interner.or_edge_mask
         weight = interner.weight
         weight_mask = interner.weight_mask

@@ -31,16 +31,10 @@ from repro.synthesis.problem import CandidatePath
 def conflict_pairs_for(
     graph: GrammarGraph,
     candidate_paths: Iterable[CandidatePath],
-    cache: Optional[PathCache] = None,
 ) -> Set[FrozenSet[str]]:
-    """All conflict path pairs among the given candidate paths.
-
-    With a domain :class:`PathCache`, the vote analysis is memoized across
-    queries (keyed by the paths' node sequences, since path ids are
-    query-local labels).
-    """
-    if cache is not None:
-        return cache.conflict_pairs([cp.path for cp in candidate_paths])
+    """All conflict path pairs among the given candidate paths, over the
+    caller's path ids: the string-level form of
+    :func:`conflict_masks_for`."""
     voted = PathVotedGraph(graph, (cp.path for cp in candidate_paths))
     return voted.conflict_path_pairs()
 
@@ -51,11 +45,11 @@ def conflict_masks_for(
     cache: Optional[PathCache] = None,
 ) -> List[Tuple[int, int]]:
     """Per-path ``(bit, mask)`` conflict records for interned encodings —
-    the bitmask form of :func:`conflict_pairs_for` the interned engine
+    the bitmask form of :func:`conflict_pairs_for` the DGGT engine
     consumes.  A combination conflicts iff, scanning members while
     accumulating bits, a member's mask intersects the accumulated set.
-    With a domain :class:`PathCache`, the pair analysis shares the
-    conflicts layer with the legacy engine."""
+    With a domain :class:`PathCache`, the pair analysis is memoized
+    across queries."""
     if cache is not None:
         return cache.conflict_masks(encs)
     pairs = conflict_enc_pairs(interner_for(graph), set(encs))
@@ -73,29 +67,3 @@ def combination_conflicts(
             if frozenset((combo_ids[i], combo_ids[j])) in pairs:
                 return True
     return False
-
-
-def prune_combinations(
-    graph: GrammarGraph,
-    all_paths: Sequence[CandidatePath],
-    combinations: Iterable[Tuple[CandidatePath, ...]],
-) -> Tuple[List[Tuple[CandidatePath, ...]], int]:
-    """Filter combinations containing conflict pairs.
-
-    Returns (surviving combinations, number pruned).  The conflict pairs are
-    computed once over all sibling-edge candidate paths, then each
-    combination is checked pairwise — cheap id-set tests, no merging.
-    """
-    pairs = conflict_pairs_for(graph, all_paths)
-    if not pairs:
-        result = list(combinations)
-        return result, 0
-    kept: List[Tuple[CandidatePath, ...]] = []
-    pruned = 0
-    for combo in combinations:
-        ids = [cp.path_id for cp in combo]
-        if combination_conflicts(ids, pairs):
-            pruned += 1
-        else:
-            kept.append(combo)
-    return kept, pruned

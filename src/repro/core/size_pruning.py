@@ -11,82 +11,19 @@ can at best deduplicate every common API.
 Our bounds additionally fold in the ``min_size`` of each path's sink node in
 the dynamic grammar graph, so the pruning stays *lossless* with respect to
 the full partial-CGT cost (tree + already-memoized subtrees): a combination
-is pruned only when its optimistic total still exceeds some other
-combination's pessimistic total.
+is pruned only when its optimistic total exceeds the exact total of an
+already-merged valid combination.  The engine computes the bounds inline
+(``DggtEngine._process_sibling_group``); this module holds the exact
+merged-tree cost they bracket.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Sequence, Set
 
-from repro.compat import slotted_dataclass
 from repro.grammar.graph import GrammarGraph, NodeKind
 from repro.grammar.interning import GraphInterner, IntPath
-from repro.grammar.path_cache import PathCache
 from repro.synthesis.problem import CandidatePath
-
-
-@slotted_dataclass(frozen=True)
-class SizedCombination:
-    """A combination with its cost bounds (min_size/max_size of Sec. V-C).
-
-    Slotted: one is allocated per surviving combination of every sibling
-    group."""
-
-    combo: Tuple[CandidatePath, ...]
-    lower: int
-    upper: int
-
-
-def _path_api_sizes(
-    graph: GrammarGraph,
-    paths: Sequence[CandidatePath],
-    cache: Optional[PathCache] = None,
-) -> Dict[str, int]:
-    """size(p) per path id — APIs excluding the sink (DESIGN.md accounting).
-
-    With a domain :class:`PathCache`, sizes are memoized across queries per
-    path node sequence."""
-    if cache is not None:
-        return {cp.path_id: cache.path_size(cp.path) for cp in paths}
-    return {cp.path_id: cp.path.size(graph) for cp in paths}
-
-
-def bound_combination(
-    graph: GrammarGraph,
-    combo: Sequence[CandidatePath],
-    sink_min_sizes: Sequence[int],
-    path_sizes: Dict[str, int],
-) -> SizedCombination:
-    """Compute the (lower, upper) cost bounds of one combination.
-
-    ``sink_min_sizes[i]`` is the memoized ``min_size`` of the dynamic-graph
-    node the i-th path's sink resolves to.
-    """
-    sizes = [path_sizes[cp.path_id] for cp in combo]
-    pred_total = sum(sink_min_sizes)
-    n = len(combo)
-    # Lower bound: even with maximal merging, the tree weighs at least the
-    # heaviest path; subtrees below the sinks are already optimal.
-    lower = max(sizes) + pred_total
-    # Upper bound: merging deduplicates at least the shared governor API
-    # (counted n times in the sum, once in the tree).
-    src = combo[0].path.nodes[0]
-    src_weight = 1 if graph.node(src).kind is NodeKind.API else 0
-    upper = sum(sizes) - (n - 1) * src_weight + pred_total
-    return SizedCombination(tuple(combo), lower, upper)
-
-
-def prune_by_size(
-    sized: Sequence[SizedCombination],
-) -> Tuple[List[SizedCombination], int]:
-    """Drop combinations whose lower bound exceeds the global minimum upper
-    bound (``C.min_size > C.min(max_size)`` in the paper's notation)."""
-    if not sized:
-        return [], 0
-    best_upper = min(s.upper for s in sized)
-    kept = [s for s in sized if s.lower <= best_upper]
-    return kept, len(sized) - len(kept)
 
 
 def exact_tree_cost(
@@ -118,8 +55,7 @@ def exact_tree_cost_enc(
     Sources/sinks are the encodings' endpoint ints; node sets are the
     memoized per-encoding bitmasks, so the set algebra is bigint ops and
     only nodes with non-zero weight are touched.  Value-identical to the
-    string version (both engines share the merge cache layer, so this
-    must hold exactly).
+    string version; the engine inlines this algebra in its merge loop.
     """
     enc_masks = interner.enc_masks
     nodes = 0

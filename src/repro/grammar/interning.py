@@ -12,11 +12,11 @@ keys become int tuples, and snapshot payloads become flat int arrays.
 Order preservation is the load-bearing invariant: node ints are assigned
 in **sorted node-id order**, so for any two nodes ``a < b`` (as strings)
 iff ``intern(a) < intern(b)``.  Every deterministic tie-break in the
-engine (sorted edge lists in ``DynNode.tie_key``, the ``(distance, id)``
-predecessor order of the path search, canonical edge tuples in
-``CGT.sort_key``) compares identically in int space, which is what makes
-the interned engine's output *byte-identical* to the legacy one rather
-than merely equivalent.  Edge codes inherit the property: with both
+engine (sorted edge lists in the dynamic graph's memo order, the
+``(distance, id)`` predecessor order of the path search, canonical edge
+tuples in ``CGT.sort_key``) compares identically in int space, so the
+engine's output is the same as if it compared node-id strings — the
+order the golden file ``tests/dggt_golden.jsonl`` was recorded under.  Edge codes inherit the property: with both
 components below ``n``, ``a1*n+b1 < a2*n+b2`` iff ``(a1, b1) < (a2, b2)``
 lexicographically.
 
@@ -110,8 +110,7 @@ class GraphInterner:
         self._dist_memo: Dict[int, List[int]] = {}
         # src int -> dense row per node of (dists, preds) parallel tuples
         # sorted by (dist, pred), or None while unbuilt; shared across
-        # find_paths calls, which is where the legacy search burned most of
-        # its time re-sorting per call.  A list row (not a dict) so the
+        # find_paths calls, so no search re-sorts predecessors per call.  A list row (not a dict) so the
         # search's frame transitions are specialized list indexing.
         self._preds_memo: Dict[
             int, List[Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]]
@@ -254,8 +253,8 @@ class GraphInterner:
         sentinel test stops the scan before the index is used).
 
         Because int order equals node-id string order, the sorted sequence
-        visits predecessors in exactly the legacy search's
-        ``(dist[p], p)`` string order — same DFS, same discovery order.
+        visits predecessors in ``(dist[p], p)`` node-id string order —
+        the discovery order the golden file pins.
         Parallel tuples (not pair tuples) so the search's inner loop
         indexes ints directly instead of unpacking.  The memo is per
         source and shared across calls.

@@ -170,8 +170,8 @@ def conflict_mask_records(
     member's mask intersects the bits accumulated so far — a few bitwise
     ANDs instead of the O(n^2) frozenset probes of
     ``combination_conflicts``.  Duplicate encodings share a bit and (pairs
-    are over distinct encodings) never conflict with each other, matching
-    the legacy id-expansion semantics exactly.
+    are over distinct encodings) never conflict with each other: two paths
+    with identical node sequences vote for identical "or" alternatives.
     """
     bit_of: Dict[IntPath, int] = {}
     for enc in encs:

@@ -16,9 +16,8 @@ additively along the dependency graph — see DESIGN.md "Path size accounting".
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.grammar.graph import GrammarGraph, NodeKind
 from repro.grammar.interning import GraphInterner, interner_for
@@ -140,28 +139,6 @@ class PathSearchLimits:
         )
 
 
-#: Which ``find_paths`` implementation runs: "interned" (the int-space DFS
-#: over :class:`GraphInterner`, the default) or "object" (the original
-#: string-keyed search, kept verbatim for equivalence proofs).  The switch
-#: is module-level because the problem front end is engine-agnostic; flip
-#: it with :func:`set_search_impl` or ``REPRO_PATH_SEARCH``.  Both
-#: implementations return identical paths in identical order.
-PATH_SEARCH_IMPL = os.environ.get("REPRO_PATH_SEARCH", "interned")
-
-
-def set_search_impl(impl: str) -> str:
-    """Select the path-search implementation; returns the previous one."""
-    global PATH_SEARCH_IMPL
-    if impl not in ("interned", "object"):
-        raise ValueError(
-            f"unknown path-search implementation {impl!r}; "
-            "valid: 'interned', 'object'"
-        )
-    previous = PATH_SEARCH_IMPL
-    PATH_SEARCH_IMPL = impl
-    return previous
-
-
 def find_paths(
     graph: GrammarGraph,
     src_id: str,
@@ -174,12 +151,9 @@ def find_paths(
     edges from ``dst_id``, pruned by the memoized distances relation (a
     predecessor is only worth visiting if ``src_id`` can still reach it
     within the remaining length budget).  Results are deterministic (edge
-    insertion order) and capped by ``limits``.  Dispatches to the interned
-    int-space search unless ``PATH_SEARCH_IMPL`` selects the legacy one.
+    insertion order) and capped by ``limits``.
     """
     limits = limits or PathSearchLimits()
-    if PATH_SEARCH_IMPL == "object":
-        return _find_paths_object(graph, src_id, dst_id, limits)
     if not graph.has_node(src_id) or not graph.has_node(dst_id):
         return []
     if src_id == dst_id:
@@ -200,11 +174,20 @@ def _search_enc(
 ) -> List[Tuple[int, ...]]:
     """The reversed all-path search in interned int space.
 
-    Outcome-equivalent to :func:`_find_paths_object` under every limit:
-    same iterative-deepening rounds, same visit accounting (one visit per
-    would-be recursive call), same predecessor order (int order ==
-    node-id order), same final trim.  Two mechanical transformations keep
-    the hot loop tight without touching observable behavior:
+    Semantics: an iterative-deepening reversed DFS whose stack path is
+    dst -> ... -> current.  Every round collects the paths of one exact
+    length, so all shorter paths are complete before any longer one is
+    considered — when a cap bites, it keeps the shortest (and therefore
+    most plausible) candidates, not whatever a depth-first order happened
+    to flood first.  A predecessor is worth visiting only if a shortest
+    completion through it still fits the round's length budget; each
+    would-be recursive call counts one visit against ``max_visits``, and
+    predecessors are tried in (distance, node id) order (int order ==
+    node-id order).  Over ``max_paths`` results, the kept ones are the
+    first ``max_paths`` by (path size, node count, discovery index).
+
+    Two mechanical transformations keep the hot loop tight without
+    touching that behavior:
 
     * the recursion is unrolled onto depth-indexed arrays (~6M Python
       calls per cold ASTMatcher sweep gone, no per-frame allocation);
@@ -215,8 +198,9 @@ def _search_enc(
       is clamped.  This is exact because a capped recursion records
       nothing and changes nothing after the cap — the call sequence up to
       the cap is identical, so the kept results and the final counter
-      value coincide with the legacy run's.
+      value coincide with a recursion that stops at the cap.
 
+    ``tests/dggt_golden.jsonl`` pins the output under tight caps.
     Returns encodings; callers decode (or cache the encodings directly).
     """
     dist = interner.dist_from(src)
@@ -320,7 +304,7 @@ def _search_enc(
             break
 
     if len(results) > max_paths:
-        # Legacy trim order is (path size, node count, insertion index).
+        # Trim order is (path size, node count, discovery index).
         # Within one search both endpoints are fixed, so the recorded
         # interior weight differs from the true size by a constant and the
         # raw length by exactly one — the sort order is identical, and the
@@ -330,83 +314,6 @@ def _search_enc(
         results = [results[j] for j in keep]
     src_t = (src,)
     return [src_t + tuple(reversed(raw)) for raw in results]
-
-
-def _find_paths_object(
-    graph: GrammarGraph,
-    src_id: str,
-    dst_id: str,
-    limits: PathSearchLimits,
-) -> List[GrammarPath]:
-    """The original string-keyed search (the "object" engine path)."""
-    if not graph.has_node(src_id) or not graph.has_node(dst_id):
-        return []
-    if src_id == dst_id:
-        return [GrammarPath("?", (src_id,))]
-    dist = graph.distances_from(src_id)
-    if dst_id not in dist:
-        return []
-
-    # Iterative-deepening reversed DFS: the stack path is dst -> ... ->
-    # current.  Every round collects the paths of one exact length, so all
-    # shorter paths are complete before any longer one is considered — when
-    # the cap bites, it keeps the shortest (and therefore most plausible)
-    # candidates, not whatever a depth-first order happened to flood first.
-    # A predecessor p is worth visiting only if a shortest completion
-    # through it still fits the round's length budget.
-    results: List[GrammarPath] = []
-    stack: List[str] = [dst_id]
-    on_stack: Set[str] = {dst_id}
-    visits = 0
-    pred_memo: dict = {}
-
-    def predecessors_by_distance(current: str):
-        cached = pred_memo.get(current)
-        if cached is None:
-            cached = sorted(
-                (dist[e.src], e.src)
-                for e in graph.predecessors(current)
-                if e.src in dist
-            )
-            pred_memo[current] = cached
-        return cached
-
-    def visit(current: str, target_len: int) -> None:
-        nonlocal visits
-        if visits >= limits.max_visits:
-            return
-        visits += 1
-        if current == src_id:
-            if len(stack) == target_len:
-                results.append(GrammarPath("?", tuple(reversed(stack))))
-            return
-        budget = target_len - len(stack) - 1
-        for prev_dist, prev in predecessors_by_distance(current):
-            if prev_dist > budget:
-                break  # sorted ascending: the rest are too far as well
-            if prev in on_stack:
-                continue
-            stack.append(prev)
-            on_stack.add(prev)
-            visit(prev, target_len)
-            on_stack.discard(prev)
-            stack.pop()
-
-    min_len = dist[dst_id] + 1
-    longest = min(limits.max_path_len, min_len + limits.max_extra_len)
-    for target_len in range(min_len, longest + 1):
-        visit(dst_id, target_len)
-        if len(results) >= limits.max_paths or visits >= limits.max_visits:
-            break
-
-    if len(results) > limits.max_paths:
-        indexed = sorted(
-            enumerate(results),
-            key=lambda pair: (pair[1].size(graph), len(pair[1]), pair[0]),
-        )
-        keep = sorted(i for i, _p in indexed[: limits.max_paths])
-        results = [results[i] for i in keep]
-    return results
 
 
 def find_paths_between_apis(

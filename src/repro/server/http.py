@@ -72,9 +72,14 @@ class SynthesisHTTPServer(ThreadingHTTPServer):
         else:
             # Adopt a listener bound (and listen()-ed) by someone else —
             # the pre-fork supervisor hands every worker the same socket
-            # so the kernel load-balances accepts across processes.
+            # so the kernel load-balances accepts across processes.  Every
+            # worker's poll wakes on one connection; a blocking accept()
+            # would park the workers that lose the race until the next
+            # connection, deaf to SIGTERM.  Non-blocking, a lost race is
+            # a BlockingIOError, which socketserver treats as no request.
             super().__init__(address, _Handler, bind_and_activate=False)
             self.socket.close()
+            sock.setblocking(False)
             self.socket = sock
             self.server_address = sock.getsockname()[:2]
             host, port = self.server_address

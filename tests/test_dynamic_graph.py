@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.dynamic_graph import DynamicGrammarGraph
+from repro.core.dynamic_graph import InternedDynamicGraph
 from repro.errors import SynthesisError
 from repro.grammar.graph import api_id, literal_id
+from repro.grammar.interning import interner_for
 from repro.grammar.paths import find_paths
 from repro.synthesis.problem import CandidatePath, EndpointCandidate
 
@@ -22,145 +23,194 @@ def cpath(graph, src_cand, dst_cand, index=0, path_id="1.1"):
     return CandidatePath(paths[index].with_id(path_id), src_cand, dst_cand)
 
 
+@pytest.fixture
+def dyng(toy_graph):
+    return InternedDynamicGraph(interner_for(toy_graph))
+
+
+def node_int(dyng, node_id):
+    return dyng.interner.index[node_id]
+
+
+def slot(dyng, dep_id, node_id):
+    return dyng._slot[dyng.key_int(dep_id, node_int(dyng, node_id))]
+
+
+def optimal(dyng, dep_id, node_id):
+    """(edges, bindings, min_size, min_rank) at (dep_id, node_id)."""
+    return dyng.optimal(dep_id, node_int(dyng, node_id))
+
+
+def offer(dyng, gov_dep_id, cp, pred_dep_id):
+    """Case I: extend the memo at (pred_dep_id, cp.dst) by ``cp``."""
+    enc = dyng.interner.path_ints(cp.path.nodes)
+    dyng.offer_path(gov_dep_id, cp, enc, slot(dyng, pred_dep_id, cp.dst))
+
+
+def add_pcgt(dyng, gov_dep_id, gov_name, combo, preds, tree_cost, gov_rank=0):
+    """Case II: fold the combo's path masks, then join ``preds``."""
+    em = dm = onm = 0
+    for cp in combo:
+        m = dyng.interner.enc_masks(dyng.interner.path_ints(cp.path.nodes))
+        em |= m[0]
+        dm |= m[2]
+        onm |= m[3]
+    return dyng.add_pcgt(
+        gov_dep_id,
+        node_int(dyng, api_id(gov_name)),
+        (em, dm, onm),
+        combo,
+        [slot(dyng, dep_id, node_id) for dep_id, node_id in preds],
+        tree_cost,
+        gov_rank,
+    )
+
+
 class TestLeaves:
-    def test_api_leaf_min_size_one(self, toy_graph):
-        dyng = DynamicGrammarGraph(toy_graph)
-        key = dyng.add_leaf(3, api_cand("LINESCOPE"))
-        assert dyng.min_size(key) == 1
+    def test_api_leaf_min_size_one(self, dyng):
+        dyng.add_leaf(3, api_cand("LINESCOPE"))
+        assert optimal(dyng, 3, api_id("LINESCOPE"))[2] == 1
 
-    def test_literal_leaf_min_size_zero(self, toy_graph):
+    def test_literal_leaf_min_size_zero(self, dyng):
         # The paper omits min_size-0 fields in Fig. 5 — literal leaves.
-        dyng = DynamicGrammarGraph(toy_graph)
-        key = dyng.add_leaf(2, lit_cand("str_val", ":"))
-        assert dyng.min_size(key) == 0
+        dyng.add_leaf(2, lit_cand("str_val", ":"))
+        assert optimal(dyng, 2, literal_id("str_val"))[2] == 0
 
-    def test_leaf_rank_recorded(self, toy_graph):
-        dyng = DynamicGrammarGraph(toy_graph)
-        key = dyng.add_leaf(3, api_cand("WORDSCOPE", rank=2))
-        assert dyng.node(key).min_rank == 2
+    def test_leaf_rank_recorded(self, dyng):
+        dyng.add_leaf(3, api_cand("WORDSCOPE", rank=2))
+        assert optimal(dyng, 3, api_id("WORDSCOPE"))[3] == 2
 
-    def test_missing_node_error(self, toy_graph):
-        dyng = DynamicGrammarGraph(toy_graph)
+    def test_missing_node_error(self, dyng):
         with pytest.raises(SynthesisError):
-            dyng.node((0, "api:INSERT"))
-        assert not dyng.has((0, "api:INSERT"))
+            optimal(dyng, 0, api_id("INSERT"))
+        assert not dyng.has(0, node_int(dyng, api_id("INSERT")))
 
 
 class TestOfferPath:
-    def test_paper_worked_example_sizes(self, toy_graph):
+    def test_paper_worked_example_sizes(self, dyng, toy_graph):
         # Fig. 5: min_size(N_STRING) = 1 via path [STRING -> str_val].
-        dyng = DynamicGrammarGraph(toy_graph)
-        leaf = dyng.add_leaf(2, lit_cand("str_val", ":"))
+        dyng.add_leaf(2, lit_cand("str_val", ":"))
         cp = cpath(toy_graph, api_cand("STRING"), lit_cand("str_val", ":"))
-        key = dyng.offer_path(1, cp, leaf)
-        assert dyng.min_size(key) == 1
-        assert dyng.node(key).min_bindings[literal_id("str_val")] == ":"
+        offer(dyng, 1, cp, 2)
+        _edges, bindings, size, _rank = optimal(dyng, 1, api_id("STRING"))
+        assert size == 1
+        assert bindings[literal_id("str_val")] == ":"
 
-    def test_min_kept_across_offers(self, toy_graph):
-        dyng = DynamicGrammarGraph(toy_graph)
-        leaf = dyng.add_leaf(3, api_cand("NUMBERTOKEN"))
+    def test_min_kept_across_offers(self, dyng, toy_graph):
+        dyng.add_leaf(3, api_cand("NUMBERTOKEN"))
         short = cpath(toy_graph, api_cand("DELETE"), api_cand("NUMBERTOKEN"), 0)
         long_ = cpath(
             toy_graph, api_cand("DELETE"), api_cand("NUMBERTOKEN"), 1, "1.2"
         )
-        sizes = sorted(
-            p.path.size(toy_graph) for p in (short, long_)
-        )
-        dyng.offer_path(0, long_, leaf)
-        dyng.offer_path(0, short, leaf)
-        key = (0, api_id("DELETE"))
-        assert dyng.min_size(key) == sizes[0] + 1
+        sizes = sorted(p.path.size(toy_graph) for p in (short, long_))
+        offer(dyng, 0, long_, 3)
+        offer(dyng, 0, short, 3)
+        assert optimal(dyng, 0, api_id("DELETE"))[2] == sizes[0] + 1
 
-    def test_rank_breaks_ties(self, toy_graph):
-        dyng = DynamicGrammarGraph(toy_graph)
-        good = dyng.add_leaf(3, api_cand("LINESCOPE", rank=0))
-        bad = dyng.add_leaf(3, api_cand("WORDSCOPE", rank=1))
+    def test_rank_breaks_ties(self, dyng, toy_graph):
+        dyng.add_leaf(3, api_cand("LINESCOPE", rank=0))
+        dyng.add_leaf(4, api_cand("WORDSCOPE", rank=1))
         # Same size via symmetric or-alternatives; rank decides.
         cp_good = cpath(toy_graph, api_cand("INSERT"), api_cand("LINESCOPE"))
         cp_bad = cpath(
             toy_graph, api_cand("INSERT"), api_cand("WORDSCOPE"), 0, "1.2"
         )
-        dyng.offer_path(0, cp_bad, bad)
-        dyng.offer_path(0, cp_good, good)
-        node = dyng.node((0, api_id("INSERT")))
-        assert node.min_rank == 0
-        assert ("nt:iter_scope", api_id("LINESCOPE")) in node.min_edges
+        offer(dyng, 0, cp_bad, 4)
+        offer(dyng, 0, cp_good, 3)
+        edges, _bindings, _size, rank = optimal(dyng, 0, api_id("INSERT"))
+        assert rank == 0
+        assert ("nt:iter_scope", api_id("LINESCOPE")) in edges
 
-    def test_binding_conflict_returns_none(self, toy_graph):
-        dyng = DynamicGrammarGraph(toy_graph)
-        leaf_key = dyng.add_leaf(2, lit_cand("str_val", ":"))
-        first = cpath(toy_graph, api_cand("STRING"), lit_cand("str_val", ":"))
-        dyng.offer_path(1, first, leaf_key)
-        # A second word binding a different value into the same slot.
-        other_leaf = dyng.add_leaf(4, lit_cand("str_val", "#"))
-        # Manually seed a pred whose bindings clash with the new path.
-        clash = cpath(toy_graph, api_cand("STRING"), lit_cand("str_val", "#"))
-        node_before = dyng.node((1, api_id("STRING")))
-        result = dyng.offer_path(1, clash, other_leaf)
-        # Same-slot different-value offers are either rejected or replace
-        # cleanly; the memo never holds a merged conflict.
-        assert result is None or dyng.node((1, api_id("STRING"))).min_bindings in (
-            {literal_id("str_val"): ":"},
-            {literal_id("str_val"): "#"},
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_full_tie_prefers_smallest_edge_set(self, dyng, toy_graph, order):
+        # Equal size, rank and edge count: the lexicographically smallest
+        # sorted edge list wins, whichever option is offered first.
+        dyng.add_leaf(3, api_cand("LINESCOPE"))
+        dyng.add_leaf(4, api_cand("WORDSCOPE"))
+        options = [
+            (cpath(toy_graph, api_cand("INSERT"), api_cand("LINESCOPE")), 3),
+            (cpath(toy_graph, api_cand("INSERT"), api_cand("WORDSCOPE")), 4),
+        ]
+        for i in order:
+            offer(dyng, 0, *options[i])
+        edges = optimal(dyng, 0, api_id("INSERT"))[0]
+        assert ("nt:iter_scope", api_id("LINESCOPE")) in edges
+        assert ("nt:iter_scope", api_id("WORDSCOPE")) not in edges
+
+    def test_binding_conflict_returns_none(self, dyng, toy_graph):
+        # Two words binding different values into the same literal slot:
+        # the join is rejected and no node is created.
+        dyng.add_leaf(1, lit_cand("str_val", ":"))
+        dyng.add_leaf(2, lit_cand("str_val", "#"))
+        colon = cpath(toy_graph, api_cand("STRING"), lit_cand("str_val", ":"))
+        hash_ = cpath(
+            toy_graph, api_cand("STRING"), lit_cand("str_val", "#"), 0, "1.2"
         )
-        assert node_before.min_size == 1
+        assert not add_pcgt(
+            dyng, 0, "STRING", [colon, hash_],
+            [(1, literal_id("str_val")), (2, literal_id("str_val"))],
+            tree_cost=1,
+        )
+        # A pred subtree binding ":" conflicts with a path binding "#".
+        offer(dyng, 5, colon, 1)
+        assert not add_pcgt(
+            dyng, 0, "STRING", [hash_],
+            [(2, literal_id("str_val")), (5, api_id("STRING"))],
+            tree_cost=1,
+        )
+        assert dyng.n_pcgt_nodes == 0
+        assert not dyng.has(0, node_int(dyng, api_id("STRING")))
 
 
 class TestPcgt:
-    def test_pcgt_combines_children(self, toy_graph):
-        dyng = DynamicGrammarGraph(toy_graph)
-        str_leaf = dyng.add_leaf(1, lit_cand("str_val", ":"))
+    def test_pcgt_combines_children(self, dyng, toy_graph):
+        dyng.add_leaf(1, lit_cand("str_val", ":"))
         cp_str = cpath(toy_graph, api_cand("STRING"), lit_cand("str_val", ":"))
-        str_key = dyng.offer_path(1, cp_str, str_leaf)
+        offer(dyng, 1, cp_str, 1)
 
-        scope_key = dyng.add_leaf(2, api_cand("LINESCOPE"))
+        dyng.add_leaf(2, api_cand("LINESCOPE"))
         cp1 = cpath(toy_graph, api_cand("INSERT"), api_cand("STRING"), 0, "2.1")
         cp2 = cpath(toy_graph, api_cand("INSERT"), api_cand("LINESCOPE"), 0, "3.1")
-        pcgt = dyng.add_pcgt(
-            0,
-            api_id("INSERT"),
-            [cp1, cp2],
-            [str_key, scope_key],
+        created = add_pcgt(
+            dyng, 0, "INSERT", [cp1, cp2],
+            [(1, api_id("STRING")), (2, api_id("LINESCOPE"))],
             tree_cost=2,  # INSERT + ITERATIONSCOPE (sinks excluded)
         )
-        assert pcgt is not None
+        assert created
         assert dyng.n_pcgt_nodes == 1
-        endpoint = dyng.node((0, api_id("INSERT")))
+        _edges, bindings, size, _rank = optimal(dyng, 0, api_id("INSERT"))
         # 2 (tree) + 1 (STRING subtree) + 1 (LINESCOPE leaf) = 4
-        assert endpoint.min_size == 4
-        assert endpoint.min_bindings[literal_id("str_val")] == ":"
+        assert size == 4
+        assert bindings[literal_id("str_val")] == ":"
 
-    def test_cross_level_conflict_rejected(self, toy_graph):
+    def test_cross_level_conflict_rejected(self, dyng, toy_graph):
         # Force a pred whose subtree uses an or-alternative the new path
         # also needs differently: occ_arg -> NUMBERTOKEN vs occ_arg -> occ_val.
-        dyng = DynamicGrammarGraph(toy_graph)
-        num_leaf = dyng.add_leaf(2, api_cand("NUMBERTOKEN"))
+        dyng.add_leaf(2, api_cand("NUMBERTOKEN"))
         cp_inner = cpath(
             toy_graph, api_cand("CONTAINS"), api_cand("NUMBERTOKEN")
         )
-        contains_key = dyng.offer_path(1, cp_inner, num_leaf)
+        offer(dyng, 1, cp_inner, 2)
         clash = cpath(
             toy_graph, api_cand("CONTAINS"), lit_cand("occ_val", "x"), 0, "9.1"
         )
-        lit_leaf = dyng.add_leaf(3, lit_cand("occ_val", "x"))
-        result = dyng.add_pcgt(
-            0,
-            api_id("CONTAINS"),
-            [clash],
-            [lit_leaf, contains_key],
+        dyng.add_leaf(3, lit_cand("occ_val", "x"))
+        created = add_pcgt(
+            dyng, 0, "CONTAINS", [clash],
+            [(3, literal_id("occ_val")), (1, api_id("CONTAINS"))],
             tree_cost=1,
         )
-        assert result is None  # occ_arg would take two alternatives
+        assert not created  # occ_arg would take two alternatives
 
-    def test_optimal_unpacks(self, toy_graph):
-        dyng = DynamicGrammarGraph(toy_graph)
-        key = dyng.add_leaf(0, api_cand("INSERT", rank=3))
-        edges, bindings, size, rank = dyng.optimal(key)
+    def test_optimal_unpacks(self, dyng):
+        dyng.add_leaf(0, api_cand("INSERT", rank=3))
+        edges, bindings, size, rank = optimal(dyng, 0, api_id("INSERT"))
         assert edges == frozenset()
         assert bindings == {}
         assert size == 1 and rank == 3
 
-    def test_describe(self, toy_graph):
-        dyng = DynamicGrammarGraph(toy_graph)
+    def test_len_counts_memo_nodes(self, dyng):
         dyng.add_leaf(0, api_cand("INSERT"))
-        assert "min_size=1" in dyng.describe()
+        dyng.add_leaf(0, api_cand("INSERT", rank=1))  # same node, no growth
+        dyng.add_leaf(1, api_cand("INSERT"))
+        assert len(dyng) == 2

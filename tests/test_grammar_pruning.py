@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.grammar_pruning import (
     combination_conflicts,
+    conflict_masks_for,
     conflict_pairs_for,
-    prune_combinations,
 )
 from repro.grammar.graph import api_id
+from repro.grammar.interning import interner_for
 from repro.grammar.paths import find_paths_between_apis
 from repro.synthesis.problem import CandidatePath, EndpointCandidate
 
@@ -19,6 +20,30 @@ def cand(name):
 def cp(graph, src, dst, path_id, index=0):
     paths = find_paths_between_apis(graph, src, dst)
     return CandidatePath(paths[index].with_id(path_id), cand(src), cand(dst))
+
+
+def prune_combinations(graph, all_paths, combinations):
+    """The engine's filter: per-path (bit, mask) records over all sibling
+    paths, then a combination conflicts iff some member's mask hits the
+    bits of the members before it.  Returns (kept, number pruned)."""
+    interner = interner_for(graph)
+    encs = [interner.path_ints(cp.path.nodes) for cp in all_paths]
+    record_of = dict(zip(all_paths, conflict_masks_for(graph, encs)))
+    kept, pruned = [], 0
+    for combo in combinations:
+        acc = 0
+        conflict = False
+        for cp in combo:
+            bit, mask = record_of[cp]
+            if mask & acc:
+                conflict = True
+                break
+            acc |= bit
+        if conflict:
+            pruned += 1
+        else:
+            kept.append(combo)
+    return kept, pruned
 
 
 @pytest.fixture

@@ -1,165 +1,94 @@
-"""Cross-engine equivalence: interned DGGT vs. the legacy object engine.
+"""The DGGT engine against its golden outputs (``tests/golden.py``).
 
-The tentpole's proof obligation — the integer-interned core is a pure
-representation change, so over both full query suites, every
-``DggtConfig`` ablation combination, and the timeout edge cases, the two
-engines must produce byte-identical codelets, identical sizes, and equal
-``SynthesisStats`` counters (cache hit/miss/eviction counts excepted:
-the engines share the domain cache layers, so whichever runs second sees
-the other's entries).
+The integer-interned engine replaced the original object engine as a
+pure representation change.  Before the object engine was deleted, its
+outputs over every bundled suite and every ``DggtConfig`` ablation
+combination were frozen into ``tests/dggt_golden.jsonl``; these tests
+hold the engine to that file — codelets, sizes, failures and the
+non-cache ``SynthesisStats`` counters, record for record — and pin the
+timeout edge cases as plain assertions.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-from repro.core.dggt import DggtConfig, DggtEngine
-from repro.errors import SynthesisError, SynthesisTimeout
-from repro.grammar.paths import set_search_impl
+from repro.core.dggt import DggtEngine
+from repro.errors import SynthesisTimeout
 from repro.synthesis.deadline import Deadline
+from repro.synthesis.pipeline import Synthesizer
 from repro.synthesis.problem import build_problem
-from repro.synthesis.result import SynthesisStats
-
-_CACHE_FIELDS = set(SynthesisStats.CACHE_FIELDS)
-
-#: (grammar_pruning, size_pruning, orphan_relocation) — every toggle combo.
-ABLATION_COMBOS = list(itertools.product((True, False), repeat=3))
-
-
-def _suite(domain_name, limit=None):
-    if domain_name == "textediting":
-        from repro.domains.textediting import build_domain
-        from repro.domains.textediting.queries import TEXTEDITING_QUERIES
-
-        cases = TEXTEDITING_QUERIES
-    else:
-        from repro.domains.astmatcher import build_domain
-        from repro.domains.astmatcher.queries import ASTMATCHER_QUERIES
-
-        cases = ASTMATCHER_QUERIES
-    queries = [case.query for case in cases]
-    return build_domain, queries[:limit] if limit else queries
-
-
-def _comparable_stats(stats):
-    return {
-        key: value
-        for key, value in stats.as_dict().items()
-        if key not in _CACHE_FIELDS
-    }
-
-
-def _outcome(domain, query, engine, deadline=None):
-    try:
-        problem = build_problem(domain, query)
-        out = engine.synthesize(
-            problem, **({} if deadline is None else {"deadline": deadline})
-        )
-        return ("ok", out.codelet, out.size, _comparable_stats(out.stats))
-    except SynthesisTimeout as exc:
-        # The timeout message embeds wall-clock elapsed seconds, which can
-        # never agree across two runs; the type is the comparable part.
-        return ("fail", type(exc).__name__)
-    except SynthesisError as exc:
-        return ("fail", type(exc).__name__, str(exc))
-
+from tests.golden import (
+    COMBOS,
+    DOMAINS,
+    assert_matches_golden,
+    combo_config,
+    golden_suite,
+    load_golden,
+    suite_cases,
+    suite_records,
+)
 
 _SHARED_DOMAINS = {}
 
 
 def _shared_domain(domain_name):
-    """One domain instance per suite, shared across every ablation combo:
-    path searches and merge-cache entries are config-independent, so
-    sharing only removes redundant cold work, never signal."""
+    """One fresh domain per suite, shared across every combo: path
+    searches and merge-cache entries are config-independent, so sharing
+    only removes redundant cold work, never signal."""
+    from repro.domains import load_domain
+
     if domain_name not in _SHARED_DOMAINS:
-        build_domain, _queries = _suite(domain_name)
-        _SHARED_DOMAINS[domain_name] = build_domain(fresh=True)
+        _SHARED_DOMAINS[domain_name] = load_domain(domain_name, fresh=True)
     return _SHARED_DOMAINS[domain_name]
 
 
-def _run_suite(domain, queries, interned, config=None, budget=None):
-    """One pass over ``queries`` on ``domain`` with one engine flavor.
-
-    Both the engine flag and the module-level search implementation are
-    switched together: ``interned=False`` is the full legacy object path,
-    including the recursive DFS in ``grammar/paths.py``.
-    """
-    set_search_impl("interned" if interned else "object")
-    try:
-        kwargs = dict(config or {})
-        kwargs["interned"] = interned
-        engine = DggtEngine(DggtConfig(**kwargs))
-        results = []
-        for query in queries:
-            deadline = None if budget is None else Deadline(budget)
-            results.append(_outcome(domain, query, engine, deadline))
-        return results
-    finally:
-        set_search_impl("interned")
+def test_golden_header_names_producer():
+    header, records = load_golden()
+    assert header["commit"] and header["engine"]
+    assert sum(1 for r in records if r[0] == "suite") == header["n_suite_records"] == 3392
 
 
 class TestFullSuiteEquivalence:
-    @pytest.mark.parametrize("domain_name", ["textediting", "astmatcher"])
+    """The served entry point (``Synthesizer`` with the default config,
+    outcome cache off) reproduces the full system's golden records."""
+
+    @pytest.mark.parametrize("domain_name", DOMAINS)
     def test_byte_identical_over_full_suite(self, domain_name):
-        build_domain, queries = _suite(domain_name)
-        domain = build_domain(fresh=True)
-        interned = _run_suite(domain, queries, interned=True)
-        legacy = _run_suite(domain, queries, interned=False)
-        for query, a, b in zip(queries, interned, legacy):
-            assert a == b, f"{domain_name}: {query!r}\ninterned={a}\nlegacy={b}"
+        full_system = (True, True, True)
+        domain = _shared_domain(domain_name)
+        synthesizer = Synthesizer(domain, cache_outcomes=False)
+        actual = suite_records(
+            domain, domain_name, full_system, synthesize=synthesizer.synthesize
+        )
+        assert_matches_golden(
+            actual, golden_suite(domain_name, full_system), domain_name
+        )
 
 
 class TestAblationEquivalence:
-    """Every pruning/relocation toggle combination, on a suite slice —
-    the ablations multiply runtime, and a representation bug would show
-    on any slice that exercises merging and relocation at all."""
+    """Every pruning/relocation toggle combination over every full suite."""
 
-    @pytest.mark.parametrize("domain_name", ["textediting", "astmatcher"])
-    @pytest.mark.parametrize("combo", ABLATION_COMBOS)
+    @pytest.mark.parametrize("domain_name", DOMAINS)
+    @pytest.mark.parametrize("combo", COMBOS)
     def test_all_toggle_combos(self, domain_name, combo):
-        grammar_pruning, size_pruning, orphan_relocation = combo
-        config = {
-            "grammar_pruning": grammar_pruning,
-            "size_pruning": size_pruning,
-            "orphan_relocation": orphan_relocation,
-        }
-        _build_domain, queries = _suite(domain_name, limit=10)
         domain = _shared_domain(domain_name)
-        interned = _run_suite(
-            domain, queries, interned=True, config=config, budget=20.0
+        assert_matches_golden(
+            suite_records(domain, domain_name, combo),
+            golden_suite(domain_name, combo),
+            f"{domain_name} {combo_config(combo)}",
         )
-        legacy = _run_suite(
-            domain, queries, interned=False, config=config, budget=20.0
-        )
-        assert interned == legacy, f"{domain_name} {config}"
 
 
 class TestDeadlineEdgeCases:
-    def test_zero_budget_same_failure(self):
-        _build_domain, queries = _suite("textediting", limit=5)
-        domain = _shared_domain("textediting")
-        interned = _run_suite(domain, queries, interned=True, budget=0.0)
-        legacy = _run_suite(domain, queries, interned=False, budget=0.0)
-        assert interned == legacy
-        assert all(result[0] == "fail" for result in interned)
+    def test_zero_budget_same_failure(self, textediting):
+        engine = DggtEngine()
+        for _case_id, query in suite_cases("textediting")[:5]:
+            problem = build_problem(textediting, query)
+            with pytest.raises(SynthesisTimeout):
+                engine.synthesize(problem, deadline=Deadline(0.0))
 
     def test_expired_deadline_raises_identically(self, textediting):
-        query = "print every line"
-        problem = build_problem(textediting, query)
-        outcomes = {}
-        for interned in (True, False):
-            set_search_impl("interned" if interned else "object")
-            try:
-                deadline = Deadline(0.0)
-                engine = DggtEngine(DggtConfig(interned=interned))
-                try:
-                    engine.synthesize(problem, deadline=deadline)
-                    outcomes[interned] = ("ok",)
-                except SynthesisError as exc:
-                    outcomes[interned] = ("fail", type(exc).__name__)
-            finally:
-                set_search_impl("interned")
-        assert outcomes[True] == outcomes[False]
-        assert outcomes[True][0] == "fail"
+        problem = build_problem(textediting, "print every line")
+        with pytest.raises(SynthesisTimeout):
+            DggtEngine().synthesize(problem, deadline=Deadline(0.0))

@@ -2,9 +2,10 @@
 
 The interned engine's correctness rests on a handful of local invariants
 — order-preserving int assignment, the bitmask validity algebra agreeing
-with the legacy set/CGT checks, and the int-space path search emitting
-the legacy search's exact output.  Each is pinned here in isolation so a
-violation fails a unit test, not a 300-query equivalence sweep.
+with the string-level set/CGT checks, and the int-space path search
+emitting the recorded output of the original recursive search
+(``tests/dggt_golden.jsonl``).  Each is pinned here in isolation so a
+violation fails a unit test, not a 3392-record suite sweep.
 """
 
 from __future__ import annotations
@@ -16,17 +17,12 @@ import pytest
 
 from repro.core.cgt import CGT
 from repro.core.dggt import merge_valid_enc
-from repro.core.dynamic_graph import DynNode
 from repro.core.grammar_pruning import (
     combination_conflicts,
     conflict_masks_for,
     conflict_pairs_for,
 )
-from repro.core.size_pruning import (
-    SizedCombination,
-    exact_tree_cost,
-    exact_tree_cost_enc,
-)
+from repro.core.size_pruning import exact_tree_cost, exact_tree_cost_enc
 from repro.errors import CacheSnapshotError
 from repro.grammar.graph import api_id
 from repro.grammar.interning import SENTINEL_DIST, interner_for
@@ -35,15 +31,14 @@ from repro.grammar.path_cache import (
     read_snapshot,
     write_snapshot,
 )
-from repro.grammar.paths import (
-    GrammarPath,
-    PathSearchLimits,
-    _find_paths_object,
-    _search_enc,
-    find_paths,
-    set_search_impl,
-)
+from repro.grammar.paths import GrammarPath, find_paths
 from repro.synthesis.problem import CandidatePath, EndpointCandidate
+from tests.golden import (
+    LIMIT_SETS,
+    assert_matches_golden,
+    golden_paths,
+    path_records,
+)
 
 
 def _api_int(interner, name):
@@ -91,29 +86,17 @@ class TestOrderPreservation:
 
 
 # ---------------------------------------------------------------------------
-# Search identity: int-space DFS == legacy recursive DFS, byte for byte
+# Search identity: int-space DFS == the recorded recursive DFS, byte for byte
 # ---------------------------------------------------------------------------
 
 
 class TestSearchIdentity:
-    def _assert_identical(self, graph, src, dst, limits):
-        interner = interner_for(graph)
-        legacy = [p.nodes for p in _find_paths_object(graph, src, dst, limits)]
-        encs = _search_enc(
-            interner, interner.index[src], interner.index[dst], limits
-        )
-        assert [interner.decode_nodes(e) for e in encs] == legacy
-
     def test_all_api_pairs_on_toy_graph(self, toy_graph):
-        apis = [
-            node.node_id
-            for node in toy_graph.nodes()
-            if node.node_id.startswith("api:")
-        ]
-        limits = PathSearchLimits()
-        for src, dst in product(apis, apis):
-            if src != dst:
-                self._assert_identical(toy_graph, src, dst, limits)
+        assert_matches_golden(
+            path_records(toy_graph, "default"),
+            golden_paths("default"),
+            "toy path search, default limits",
+        )
 
     @pytest.mark.parametrize(
         "limits_kwargs",
@@ -127,24 +110,19 @@ class TestSearchIdentity:
     def test_caps_reconcile_identically(self, toy_graph, limits_kwargs):
         """Tight visit/path caps exercise the tagged-cap reconciliation:
         the iterative search may overshoot within a round but must report
-        exactly what the legacy search's mid-recursion cap cut off."""
-        limits = PathSearchLimits(**limits_kwargs)
-        self._assert_identical(
-            toy_graph, api_id("INSERT"), api_id("NUMBERTOKEN"), limits
-        )
-        self._assert_identical(
-            toy_graph, api_id("DELETE"), api_id("STRING"), limits
+        exactly what a mid-recursion cap cuts off."""
+        (label,) = [k for k, v in LIMIT_SETS.items() if v == limits_kwargs]
+        assert_matches_golden(
+            path_records(toy_graph, label),
+            golden_paths(label),
+            f"toy path search, {label}",
         )
 
-    def test_dispatcher_switches_impl(self, toy_graph):
+    def test_find_paths_decodes_search(self, toy_graph):
+        """The public wrapper returns the golden paths for a pair."""
         src, dst = api_id("INSERT"), api_id("CONTAINS")
-        interned = find_paths(toy_graph, src, dst)
-        previous = set_search_impl("object")
-        try:
-            legacy = find_paths(toy_graph, src, dst)
-        finally:
-            set_search_impl(previous)
-        assert [p.nodes for p in interned] == [p.nodes for p in legacy]
+        (record,) = [r for r in golden_paths("default") if r[2:4] == [src, dst]]
+        assert [list(p.nodes) for p in find_paths(toy_graph, src, dst)] == record[4]
 
     def test_sentinel_terminates_rows(self, toy_graph):
         interner = interner_for(toy_graph)
@@ -158,7 +136,7 @@ class TestSearchIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Bitmask validity algebra vs. the legacy set/CGT checks
+# Bitmask validity algebra vs. the string-level set/CGT checks
 # ---------------------------------------------------------------------------
 
 
@@ -215,10 +193,10 @@ class TestMaskAlgebra:
         agree_valid = agree_invalid = 0
         for combo in combos:
             tree = CGT.from_paths(cp.path for cp in combo)
-            legacy_valid = tree.is_tree() and not tree.or_conflicts(toy_graph)
+            string_valid = tree.is_tree() and not tree.or_conflicts(toy_graph)
             encs = tuple(interner.path_ints(cp.path.nodes) for cp in combo)
-            assert merge_valid_enc(interner, encs) == legacy_valid
-            if legacy_valid:
+            assert merge_valid_enc(interner, encs) == string_valid
+            if string_valid:
                 agree_valid += 1
                 assert exact_tree_cost_enc(interner, encs) == exact_tree_cost(
                     toy_graph, combo
@@ -248,12 +226,12 @@ class TestMaskAlgebra:
             for j in range(len(paths)):
                 if i == j:
                     continue
-                legacy = combination_conflicts(
+                expected = combination_conflicts(
                     [paths[i].path_id, paths[j].path_id], pairs
                 )
                 bit_i, _mask_i = records[i]
                 _bit_j, mask_j = records[j]
-                assert bool(mask_j & bit_i) == legacy, (i, j)
+                assert bool(mask_j & bit_i) == expected, (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +269,13 @@ class TestSlottedRecords:
             endpoint,
             EndpointCandidate(node_id="lit:str_val", value="x"),
         )
-        sized = SizedCombination(combo=(path,), lower=1, upper=3)
-        dyn = DynNode(
-            key=(0, "api:INSERT"), kind="api", min_size=2, min_rank=1,
-            min_edges=frozenset({("api:INSERT", "nt:x")}), min_bindings={},
-        )
-        return endpoint, path, sized, dyn
+        return endpoint, path
 
     def test_no_instance_dict(self):
         for record in self._records():
             assert not hasattr(record, "__dict__"), type(record).__name__
 
     def test_pickle_round_trip(self):
-        endpoint, path, sized, dyn = self._records()
-        for record in (endpoint, path, sized):
+        for record in self._records():
             clone = pickle.loads(pickle.dumps(record))
             assert clone == record
-        dyn_clone = pickle.loads(pickle.dumps(dyn))
-        assert dyn_clone.key == dyn.key
-        assert dyn_clone.min_size == dyn.min_size
-        assert dyn_clone.tie_key() == dyn.tie_key()

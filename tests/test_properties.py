@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.cgt import CGT, merge_bindings
 from repro.core.expression import Expr, parse_expression
-from repro.core.size_pruning import SizedCombination, prune_by_size
 from repro.grammar.paths import PathSearchLimits, find_paths_between_apis
 from repro.nlp.lemmatizer import lemmatize
 from repro.nlp.tokenizer import tokenize
@@ -126,26 +125,6 @@ class TestBindingProperties:
     def test_merge_identity(self, a):
         assert merge_bindings(a, {}) == a
         assert merge_bindings({}, a) == a
-
-
-_sized = st.builds(
-    lambda lo, extra: SizedCombination((), lo, lo + extra),
-    st.integers(min_value=0, max_value=20),
-    st.integers(min_value=0, max_value=10),
-)
-
-
-class TestSizePruningProperties:
-    @given(st.lists(_sized, max_size=12))
-    def test_prune_soundness(self, sized):
-        kept, n_pruned = prune_by_size(sized)
-        assert len(kept) + n_pruned == len(sized)
-        if sized:
-            best_upper = min(s.upper for s in sized)
-            # the potentially-optimal combination always survives
-            assert any(s.upper == best_upper for s in kept)
-            for s in kept:
-                assert s.lower <= best_upper
 
 
 # ----------------------------------------------------------------------

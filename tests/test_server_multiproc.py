@@ -13,8 +13,10 @@ Two layers:
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -22,6 +24,7 @@ import pytest
 from repro import Synthesizer, load_domain
 from repro.client import HttpClient
 from repro.errors import ReproError
+from repro.server.http import SynthesisHTTPServer
 from repro.server.multiproc import (
     WorkerStatsBoard,
     bind_listener,
@@ -84,6 +87,33 @@ class TestRunSupervisorValidation:
                 bind_listener("127.0.0.1", port)
         finally:
             sock.close()
+
+
+class TestSharedListener:
+    def test_lost_accept_race_returns_without_blocking(self):
+        """Every pre-fork worker polls the one shared listener, and all of
+        them wake on one connection.  A worker that loses the accept race
+        must get "no request" back, not block in accept() — blocked, it
+        misses SIGTERM until another connection arrives."""
+        sock = bind_listener("127.0.0.1", 0)
+        address = sock.getsockname()[:2]
+        server = SynthesisHTTPServer(address, service=None, sock=sock)
+        returned = threading.Event()
+
+        def poll_once():
+            server._handle_request_noblock()
+            returned.set()
+
+        worker = threading.Thread(target=poll_once, daemon=True)
+        worker.start()
+        try:
+            assert returned.wait(1.0), "accept() blocked with nothing pending"
+        finally:
+            if not returned.is_set():
+                socket.create_connection(address).close()  # unblock it
+            worker.join(5)
+            server.server_close()
+        assert not worker.is_alive()
 
 
 # ---------------------------------------------------------------------------
