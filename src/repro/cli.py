@@ -650,20 +650,6 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         "~/.cache/repro-dggt)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="request execution: 'thread' shares one warm cache; "
-        "'process' dispatches to a persistent worker pool (default: thread)",
-    )
-    parser.add_argument(
-        "--pool-workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="process-pool size per domain (process backend; default: 2)",
-    )
-    parser.add_argument(
         "--max-inflight",
         type=int,
         default=8,
@@ -774,8 +760,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             domains=domains,
             engine=args.engine,
             cache_dir=args.cache_dir,
-            backend=args.backend,
-            workers=args.pool_workers,
             max_inflight=args.max_inflight,
             queue_depth=args.queue_depth,
             adaptive_queue=args.adaptive_queue,
@@ -801,11 +785,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
 
-        print(
-            f"# serving with {args.workers} workers "
-            f"(backend={args.backend})",
-            file=sys.stderr,
-        )
+        print(f"# serving with {args.workers} workers", file=sys.stderr)
         try:
             drained = run_supervisor(
                 config,
@@ -839,7 +819,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     ]
     print(
         f"# serving {', '.join(service.domain_names())} "
-        f"(backend={args.backend}, snapshots: "
+        f"(snapshots: "
         f"{', '.join(preloaded) if preloaded else 'none'})",
         file=sys.stderr,
     )

@@ -60,7 +60,6 @@ See ``docs/performance.md`` for the full key/invalidation story.
 from __future__ import annotations
 
 import hashlib
-import mmap
 import os
 import pickle
 import tempfile
@@ -563,40 +562,18 @@ def write_snapshot(
     return file_path
 
 
-def read_snapshot(
-    file_path: Union[str, Path], *, use_mmap: Optional[bool] = None
-) -> Dict[str, Any]:
+def read_snapshot(file_path: Union[str, Path]) -> Dict[str, Any]:
     """Read and structurally validate a snapshot payload.
 
     Raises :class:`~repro.errors.CacheSnapshotError` for unreadable or
     corrupt files and unknown format versions.  Hash freshness is the
     *loader's* check (:func:`load_snapshot`) — reading alone cannot know
     which graph the caller intends.
-
-    ``use_mmap`` (default: ``$REPRO_SNAPSHOT_MMAP``, off unless set to a
-    non-``0`` value) memory-maps the file and unpickles straight from
-    the mapping instead of copying the bytes through a private read
-    buffer.  Spawn-mode multi-worker serving turns this on so every
-    worker process reads the same page-cache copy of the snapshot —
-    the spawn-safe analogue of load-before-fork sharing.
     """
     file_path = Path(file_path)
-    if use_mmap is None:
-        use_mmap = os.environ.get("REPRO_SNAPSHOT_MMAP", "0") not in (
-            "", "0"
-        )
     try:
         with open(file_path, "rb") as handle:
-            if use_mmap:
-                # length=0 maps the whole file; ACCESS_READ keeps the
-                # pages shared and clean.  An empty file cannot be
-                # mapped — let it fall through as a corrupt snapshot.
-                with mmap.mmap(
-                    handle.fileno(), 0, access=mmap.ACCESS_READ
-                ) as mapped:
-                    payload = pickle.loads(mapped)
-            else:
-                payload = pickle.load(handle)
+            payload = pickle.load(handle)
     except OSError as exc:
         raise CacheSnapshotError(
             f"cannot read cache snapshot {file_path}: {exc}"

@@ -14,8 +14,8 @@ with warm grammar caches, not a per-query process.  Three layers:
   /healthz``/``/stats``/``/domains`` over a stdlib threading HTTP server;
 * :mod:`repro.server.multiproc` — pre-fork multi-worker serving
   (``repro serve --workers N``): a supervisor shares one listening
-  socket (or ``SO_REUSEPORT`` siblings) across N worker processes,
-  restarts crashes, fans out reload/drain, and merges per-worker stats;
+  socket across N forked worker processes, restarts crashes, fans out
+  reload/drain, and merges per-worker stats;
 * :mod:`repro.server.stdio` — the same payloads as JSON lines over
   stdin/stdout (language-server style, one child per editor session).
 

@@ -11,9 +11,8 @@ Endpoints (docs/serving.md is the reference):
   header (seconds, rounded up).
 * ``POST /admin/reload`` — hot reload: re-read pack-backed domains from
   disk (an edited pack swaps in a freshly built Domain) and atomically
-  swap freshly loaded cache snapshots (and process-pool workers) without
-  dropping in-flight or queued work; body is optional
-  ``{"cache_dir": "..."}``.
+  swap freshly loaded cache snapshots without dropping in-flight or
+  queued work; body is optional ``{"cache_dir": "..."}``.
 * ``GET /healthz`` — readiness: 200 while serving, 503 while draining;
   body reports domains, snapshot provenance, cache occupancy, inflight,
   and the scheduler's queue/budget state.
@@ -153,13 +152,12 @@ class _Handler(BaseHTTPRequestHandler):
             ))
             return
         # Multi-worker serving: one worker handled this request, but the
-        # operator meant "reload the server" — ask the supervisor to
-        # SIGHUP every worker.  (Signal-triggered reloads do not
-        # re-notify, so the fan-out terminates.)
+        # operator meant "reload the server" — hand the directory to the
+        # supervisor, which reloads itself and every other worker.
         board = getattr(self.server.service, "worker_board", None)
         if board is not None:
             try:
-                board.notify_siblings_reload()
+                board.request_cluster_reload(result["cache_dir"])
             except Exception:
                 pass  # this worker's reload already succeeded
         self._send(200, result)
@@ -310,9 +308,16 @@ def run_http(
             def _handle_hup(signum: int, frame: Optional[Any]) -> None:
                 # Reload off the signal context so the accept loop never
                 # stalls on snapshot IO; errors must not kill the server.
+                # A pre-fork worker reloads from the directory its
+                # supervisor recorded, which may come from another
+                # worker's /admin/reload.
                 def _reload() -> None:
+                    board = service.worker_board
                     try:
-                        service.reload_snapshots()
+                        service.reload_snapshots(
+                            None if board is None
+                            else board.reload_cache_dir()
+                        )
                     except Exception:
                         pass  # /healthz still reports the old snapshots
 

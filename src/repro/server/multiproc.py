@@ -8,33 +8,33 @@ the deployment shape the paper's "near real-time under real use" claim
 needs — N independent worker *processes* behind one listening port:
 
 * **supervisor** (:func:`run_supervisor`) — the parent binds the
-  listening socket once, starts ``workers`` children, and then only
+  listening socket once, forks ``workers`` children, and then only
   supervises: it restarts crashed workers (exponential backoff, reset
-  after a healthy run), fans SIGHUP out to every worker, and on
+  after a healthy run), owns the cluster's reload state, and on
   SIGTERM/SIGINT forwards the signal so every worker drains gracefully
   — zero dropped in-flight or queued work, exactly the single-worker
-  guarantee, N times over.
-* **shared listener** — on POSIX the children are forked and inherit
-  the parent's bound socket, so the kernel load-balances ``accept()``
-  across workers with no proxy in front.  The grammar-cache snapshots
-  are loaded *once*, before the fork: every worker serves from the same
-  copy-on-write pages instead of N private heaps.
-* **spawn fallback** (``REPRO_SERVE_START_METHOD=spawn`` or platforms
-  without ``fork``) — each worker is a fresh interpreter that binds its
-  own ``SO_REUSEPORT`` listener on the same port and memory-maps the v2
-  cache snapshot (``REPRO_SNAPSHOT_MMAP``), so the snapshot bytes are
-  shared through the page cache even without fork.
+  guarantee, N times over.  Platforms without ``os.fork`` are refused
+  up front.
+* **shared listener** — the forked children inherit the parent's bound
+  socket, so the kernel load-balances ``accept()`` across workers with
+  no proxy in front.  The grammar-cache snapshots are loaded *once*,
+  before the fork: every worker starts from the same copy-on-write
+  pages instead of N private heaps.
 * **aggregated observability** — every worker publishes its local
   counters to a per-worker JSON file (atomic replace) through a
   :class:`WorkerStatsBoard`; whichever worker answers ``GET /stats``
   merges all of them, so the operator sees server-wide totals plus a
   per-worker breakdown no matter which worker their connection landed
   on.
-* **cluster-wide reload** — ``POST /admin/reload`` reloads the worker
-  that received it, which then signals the supervisor; the supervisor
-  SIGHUPs every worker, so one admin request reloads the whole server
-  (signal-triggered reloads do not re-notify, which terminates the
-  fan-out).
+* **cluster-wide reload** — on SIGHUP the supervisor first reloads its
+  own pre-fork service, so a worker restarted later forks from the
+  reloaded state, then records the snapshot directory in the stats dir
+  and SIGHUPs every worker, which reload from that directory.
+  ``POST /admin/reload`` reloads the worker that received it, leaves
+  its ``cache_dir`` for the supervisor in the stats dir and signals it;
+  the supervisor then reloads itself and every *other* worker, so each
+  worker reloads exactly once per request and a requested ``cache_dir``
+  reaches the whole cluster.
 
 ``repro serve`` with ``--workers 1`` (the default) never touches this
 module — single-worker serving is byte-identical to the pre-multiproc
@@ -78,6 +78,13 @@ STATS_PUBLISH_INTERVAL_SECONDS = 0.2
 #: Listen backlog for the shared socket (one accept queue, N workers).
 LISTEN_BACKLOG = 128
 
+#: Files in the stats dir that carry a reload across processes: a
+#: worker's ``/admin/reload`` leaves its request for the supervisor in
+#: the first; the supervisor records the directory every worker reloads
+#: from in the second.
+RELOAD_REQUEST_FILE = "reload-request.json"
+RELOAD_FILE = "reload.json"
+
 _SUPERVISOR_POLL_SECONDS = 0.05
 
 
@@ -103,28 +110,44 @@ def write_port_file(path: str, port: int) -> None:
         raise
 
 
-def bind_listener(
-    host: str, port: int, *, reuse_port: bool = False
-) -> socket.socket:
-    """Bind and listen.  ``reuse_port`` sets ``SO_REUSEPORT`` so several
-    processes can bind the same port and share the accept load (the
-    spawn-mode worker path); it raises on platforms without the option."""
+def bind_listener(host: str, port: int) -> socket.socket:
+    """Bind and listen on the socket every forked worker shares."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if reuse_port:
-            if not hasattr(socket, "SO_REUSEPORT"):
-                raise ReproError(
-                    "SO_REUSEPORT is not available on this platform; "
-                    "spawn-mode multi-worker serving needs it"
-                )
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((host, port))
         sock.listen(LISTEN_BACKLOG)
     except BaseException:
         sock.close()
         raise
     return sock
+
+
+def _write_json(directory: str, name: str, payload: Any) -> None:
+    """Replace ``directory/name`` atomically (temp file + ``os.replace``),
+    so readers never see a torn write."""
+    fd, tmp_path = tempfile.mkstemp(
+        prefix=f".{name}-", suffix=".tmp", dir=directory
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        os.replace(tmp_path, os.path.join(directory, name))
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
+def _read_json(path: str) -> Any:
+    """The JSON document at ``path``; None when it is missing or torn."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError):
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -166,25 +189,12 @@ class WorkerStatsBoard:
         return os.path.join(self.stats_dir, f"worker-{self.worker_id}.json")
 
     def publish(self, stats: Dict[str, Any]) -> None:
-        payload = {
-            "worker_id": self.worker_id,
-            "pid": os.getpid(),
-            "stats": stats,
-        }
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=f".worker-{self.worker_id}-", suffix=".tmp",
-            dir=self.stats_dir,
+        _write_json(
+            self.stats_dir,
+            os.path.basename(self.path),
+            {"worker_id": self.worker_id, "pid": os.getpid(),
+             "stats": stats},
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
 
     def start(self, supplier: Callable[[], Dict[str, Any]]) -> None:
         """Republish ``supplier()`` every ``publish_interval`` seconds
@@ -218,17 +228,30 @@ class WorkerStatsBoard:
 
     # -- reload fan-out ------------------------------------------------
 
-    def notify_siblings_reload(self) -> None:
-        """Ask the supervisor to SIGHUP every worker (the
-        ``/admin/reload`` fan-out).  No-op when the parent is gone."""
-        if self.parent_pid is None or not hasattr(signal, "SIGHUP"):
-            return
-        if os.getppid() != self.parent_pid:
-            return  # supervisor died; we are orphaned
+    def request_cluster_reload(self, cache_dir: Optional[str]) -> None:
+        """After this worker's own ``/admin/reload``: leave ``cache_dir``
+        for the supervisor and signal it, so it reloads itself and every
+        other worker from that directory.  No-op when the parent is
+        gone."""
+        if self.parent_pid is None or os.getppid() != self.parent_pid:
+            return  # not supervised, or the supervisor died
+        _write_json(
+            self.stats_dir,
+            RELOAD_REQUEST_FILE,
+            {"cache_dir": cache_dir, "pid": os.getpid()},
+        )
         try:
             os.kill(self.parent_pid, signal.SIGHUP)
         except OSError:
             pass
+
+    def reload_cache_dir(self) -> Optional[str]:
+        """The snapshot directory the supervisor's latest reload settled
+        on (None: keep the directory in effect)."""
+        recorded = _read_json(os.path.join(self.stats_dir, RELOAD_FILE))
+        if not isinstance(recorded, dict):
+            return None
+        return recorded.get("cache_dir")
 
     # -- merging -------------------------------------------------------
 
@@ -241,13 +264,8 @@ class WorkerStatsBoard:
         for name in names:
             if not (name.startswith("worker-") and name.endswith(".json")):
                 continue
-            try:
-                with open(
-                    os.path.join(self.stats_dir, name), encoding="utf-8"
-                ) as handle:
-                    entry = json.load(handle)
-            except (OSError, ValueError):
-                continue  # a seat mid-replace or mid-crash; skip it
+            # None: a seat mid-replace or mid-crash; skip it.
+            entry = _read_json(os.path.join(self.stats_dir, name))
             if isinstance(entry, dict) and isinstance(
                 entry.get("stats"), dict
             ):
@@ -399,43 +417,18 @@ def _worker_serve(
     return 0 if drained else 1
 
 
-def _spawn_worker_main(
-    config: ServerConfig,
-    host: str,
-    port: int,
-    slot: int,
-    stats_dir: str,
-    grace_seconds: float,
-    parent_pid: int,
-) -> None:
-    """Entry point for spawn-mode workers (fresh interpreter): bind an
-    ``SO_REUSEPORT`` sibling listener and build the service here,
-    memory-mapping the snapshot so the bytes are still shared across
-    workers through the page cache."""
-    os.environ.setdefault("REPRO_SNAPSHOT_MMAP", "1")
-    sock = bind_listener(host, port, reuse_port=True)
-    service = SynthesisService(config)
-    sys.exit(
-        _worker_serve(
-            service, sock, slot, stats_dir, grace_seconds, parent_pid
-        )
-    )
-
-
 # ----------------------------------------------------------------------
 # Supervisor
 # ----------------------------------------------------------------------
 
 
 class _WorkerHandle:
-    """One live (or just-exited) worker process, fork- or spawn-backed."""
+    """One live (or just-exited) forked worker process."""
 
-    __slots__ = ("slot", "pid", "proc", "started_at", "exitcode")
+    __slots__ = ("pid", "started_at", "exitcode")
 
-    def __init__(self, slot: int, pid: int, proc: Optional[Any] = None):
-        self.slot = slot
+    def __init__(self, pid: int):
         self.pid = pid
-        self.proc = proc  # multiprocessing.Process for spawn workers
         self.started_at = time.monotonic()
         self.exitcode: Optional[int] = None
 
@@ -443,12 +436,6 @@ class _WorkerHandle:
         """The worker's exit code, reaping it if needed; None while it
         is still running.  Stable once non-None."""
         if self.exitcode is not None:
-            return self.exitcode
-        if self.proc is not None:
-            if self.proc.is_alive():
-                return None
-            self.proc.join(timeout=0)
-            self.exitcode = self.proc.exitcode
             return self.exitcode
         try:
             pid, status = os.waitpid(self.pid, os.WNOHANG)
@@ -477,30 +464,21 @@ def run_supervisor(
     workers: int = 2,
     grace_seconds: float = 30.0,
     port_file: Optional[str] = None,
-    start_method: Optional[str] = None,
     on_ready: Optional[Callable[[int], None]] = None,
 ) -> bool:
     """Run the pre-fork server until SIGTERM/SIGINT; returns True when
     every worker drained cleanly inside the grace period.
-
-    ``start_method`` is ``"fork"`` (inherited listener + load-before-fork
-    snapshot sharing; the default where available), ``"spawn"``
-    (``SO_REUSEPORT`` siblings + mmap'd snapshots), or None to pick from
-    ``$REPRO_SERVE_START_METHOD`` / the platform.  ``on_ready(port)``
-    fires once the port is bound and every initial worker is started.
+    ``on_ready(port)`` fires once the port is bound and every initial
+    worker is started.  Raises :class:`ReproError` before binding
+    anything on platforms without ``os.fork``.
     """
     if workers < 1:
         raise ReproError("workers must be >= 1")
-    if start_method is None:
-        start_method = os.environ.get("REPRO_SERVE_START_METHOD") or (
-            "fork" if hasattr(os, "fork") else "spawn"
-        )
-    if start_method not in ("fork", "spawn"):
+    if not hasattr(os, "fork"):
         raise ReproError(
-            f"unknown start method {start_method!r}; use 'fork' or 'spawn'"
+            "multi-worker serving forks its workers, and os.fork is "
+            "unavailable on this platform; serve with --workers 1"
         )
-    if start_method == "fork" and not hasattr(os, "fork"):
-        raise ReproError("start method 'fork' is unavailable here")
 
     supervisor = _Supervisor(
         config,
@@ -509,7 +487,6 @@ def run_supervisor(
         workers=workers,
         grace_seconds=grace_seconds,
         port_file=port_file,
-        start_method=start_method,
         on_ready=on_ready,
     )
     return supervisor.run()
@@ -525,7 +502,6 @@ class _Supervisor:
         workers: int,
         grace_seconds: float,
         port_file: Optional[str],
-        start_method: str,
         on_ready: Optional[Callable[[int], None]],
     ):
         self.config = config
@@ -534,13 +510,11 @@ class _Supervisor:
         self.workers = workers
         self.grace_seconds = grace_seconds
         self.port_file = port_file
-        self.start_method = start_method
         self.on_ready = on_ready
 
         self._listener: Optional[socket.socket] = None
         self._service: Optional[SynthesisService] = None
         self._stats_dir: Optional[str] = None
-        self._bound_port: Optional[int] = None
         self._handles: Dict[int, Optional[_WorkerHandle]] = {}
         self._restart_at: Dict[int, float] = {}
         self._backoff: Dict[int, float] = {}
@@ -549,16 +523,11 @@ class _Supervisor:
 
     # -- worker lifecycle ----------------------------------------------
 
-    def _start_worker(self, slot: int) -> _WorkerHandle:
-        if self.start_method == "fork":
-            return self._fork_worker(slot)
-        return self._spawn_worker(slot)
-
     def _fork_worker(self, slot: int) -> _WorkerHandle:
         assert self._service is not None and self._listener is not None
         pid = os.fork()
         if pid != 0:
-            return _WorkerHandle(slot, pid)
+            return _WorkerHandle(pid)
         # ---- child ----
         code = 70  # EX_SOFTWARE unless the worker body says otherwise
         try:
@@ -582,52 +551,20 @@ class _Supervisor:
             # the stack) in the child.
             os._exit(code)
 
-    def _spawn_worker(self, slot: int) -> _WorkerHandle:
-        import multiprocessing
-
-        assert self._stats_dir is not None and self._bound_port is not None
-        ctx = multiprocessing.get_context("spawn")
-        proc = ctx.Process(
-            target=_spawn_worker_main,
-            args=(
-                self.config,
-                self.host,
-                self._bound_port,
-                slot,
-                self._stats_dir,
-                self.grace_seconds,
-                os.getpid(),
-            ),
-            name=f"repro-serve-worker-{slot}",
-        )
-        proc.start()
-        return _WorkerHandle(slot, proc.pid or -1, proc)
-
     # -- main loop ------------------------------------------------------
 
     def run(self) -> bool:
         self._stats_dir = tempfile.mkdtemp(prefix="repro-serve-stats-")
         previous_handlers: Dict[int, Any] = {}
         try:
-            listener = bind_listener(
-                self.host,
-                self.port,
-                reuse_port=(self.start_method == "spawn"),
-            )
-            self._bound_port = listener.getsockname()[1]
-            if self.start_method == "fork":
-                # Load-before-fork: build the whole service (snapshots
-                # included) once; the forked workers share these pages
-                # copy-on-write and only ever read them.
-                self._listener = listener
-                self._service = SynthesisService(self.config)
-            else:
-                # Spawn workers bind their own SO_REUSEPORT listeners;
-                # the parent's claim socket must not stay in the accept
-                # rotation or its queue would swallow connections.
-                listener.close()
+            self._listener = bind_listener(self.host, self.port)
+            port = self._listener.getsockname()[1]
+            # Load-before-fork: build the whole service (snapshots
+            # included) once; the forked workers share these pages
+            # copy-on-write and only ever read them.
+            self._service = SynthesisService(self.config)
             if self.port_file:
-                write_port_file(self.port_file, self._bound_port)
+                write_port_file(self.port_file, port)
 
             def _handle_stop(signum: int, frame: Any) -> None:
                 self._stop_requested = True
@@ -646,17 +583,15 @@ class _Supervisor:
 
             for slot in range(self.workers):
                 self._backoff[slot] = RESTART_BACKOFF_BASE_SECONDS
-                self._handles[slot] = self._start_worker(slot)
+                self._handles[slot] = self._fork_worker(slot)
             if self.on_ready is not None:
-                self.on_ready(self._bound_port)
+                self.on_ready(port)
 
             while not self._stop_requested:
                 time.sleep(_SUPERVISOR_POLL_SECONDS)
                 if self._hup_requested:
                     self._hup_requested = False
-                    for handle in self._handles.values():
-                        if handle is not None:
-                            handle.signal(signal.SIGHUP)
+                    self._reload_cluster()
                 self._reap_and_restart()
             return self._shutdown()
         finally:
@@ -670,12 +605,38 @@ class _Supervisor:
             if self._stats_dir is not None:
                 shutil.rmtree(self._stats_dir, ignore_errors=True)
 
+    def _reload_cluster(self) -> None:
+        """SIGHUP: reload the pre-fork service first, so a worker
+        restarted later forks from the reloaded state; then record the
+        snapshot directory for the workers and SIGHUP each of them —
+        except the one whose ``/admin/reload`` asked for this reload,
+        which has already reloaded."""
+        assert self._service is not None and self._stats_dir is not None
+        request_path = os.path.join(self._stats_dir, RELOAD_REQUEST_FILE)
+        taken_path = request_path + ".taken"
+        try:
+            # Take the request atomically: a worker may write the next
+            # one while this reload runs.
+            os.replace(request_path, taken_path)
+            request = _read_json(taken_path) or {}
+        except OSError:
+            request = {}  # an operator's SIGHUP: keep the dir in effect
+        cache_dir = request.get("cache_dir")
+        try:
+            cache_dir = self._service.reload_snapshots(cache_dir)["cache_dir"]
+        except Exception:  # the supervisor must stay up
+            traceback.print_exc()
+        _write_json(self._stats_dir, RELOAD_FILE, {"cache_dir": cache_dir})
+        for handle in self._handles.values():
+            if handle is not None and handle.pid != request.get("pid"):
+                handle.signal(signal.SIGHUP)
+
     def _reap_and_restart(self) -> None:
         now = time.monotonic()
         for slot, handle in list(self._handles.items()):
             if handle is None:
                 if now >= self._restart_at.get(slot, 0.0):
-                    self._handles[slot] = self._start_worker(slot)
+                    self._handles[slot] = self._fork_worker(slot)
                 continue
             code = handle.poll()
             if code is None:

@@ -16,8 +16,7 @@ concerns a long-running deployment needs:
   requests shed at a full queue carry a ``retry_after_ms`` hint;
 * **hot snapshot reload** — :meth:`reload_snapshots` (wired to SIGHUP
   and ``POST /admin/reload`` by the front ends) atomically swaps freshly
-  loaded PathCache snapshots — and restarts process-pool workers —
-  without dropping in-flight or queued work;
+  loaded PathCache snapshots without dropping in-flight or queued work;
 * **deadline propagation** — the per-request ``timeout`` (clamped to
   ``max_timeout``, defaulting to ``default_timeout``) flows into the
   engines' existing cooperative :class:`~repro.synthesis.deadline.Deadline`,
@@ -31,20 +30,16 @@ concerns a long-running deployment needs:
   ``include_trace`` requests, ride the response payload;
 * **graceful lifecycle** — :meth:`begin_shutdown` flips the service to
   draining (new work rejected with ``shutting_down``), :meth:`drain`
-  waits for in-flight requests to finish, :meth:`close` releases worker
-  pools.  The front ends wire SIGINT/SIGTERM to exactly this sequence.
+  waits for in-flight requests to finish, :meth:`close` marks the service
+  closed.  The front ends wire SIGINT/SIGTERM to exactly this sequence.
 
-Execution backends mirror :meth:`Synthesizer.synthesize_many`:
-
-* ``backend="thread"`` (default) — requests run on the transport's
-  threads against the shared warm cache.  The PathCache is lock-guarded,
-  so this is safe; per-query cache deltas are not recorded (they would
-  race across concurrent requests — ``stats.cache_delta_scope`` reads
-  ``"batch"``), use ``/stats`` for service-level counters.
-* ``backend="process"`` — requests are dispatched to a persistent
-  ``ProcessPoolExecutor`` per (domain, engine), reusing the batch
-  backend's worker plumbing (``_process_worker_init`` preloads the same
-  cache snapshots).  This is the CPU-scaling path for heavy traffic.
+Requests run on the transport's threads against the shared warm cache.
+The PathCache is lock-guarded, so this is safe; per-query cache deltas
+are not recorded (they would race across concurrent requests —
+``stats.cache_delta_scope`` reads ``"batch"``), use ``/stats`` for
+service-level counters.  To use more than one core, run several
+services behind one port: ``repro serve --workers N``
+(:mod:`repro.server.multiproc`).
 """
 
 from __future__ import annotations
@@ -52,7 +47,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -75,9 +69,6 @@ from repro.synthesis.domain import Domain
 from repro.synthesis.pipeline import (
     BatchItem,
     Synthesizer,
-    _pool_context,
-    _process_worker_init,
-    _process_worker_run,
     _run_single,
 )
 from repro.synthesis.stages import StageLatencyAggregator
@@ -104,10 +95,6 @@ class ServerConfig:
     #: Snapshot directory preloaded at startup (None: the library default,
     #: ``$REPRO_CACHE_DIR`` / ``~/.cache/repro-dggt``).
     cache_dir: Optional[str] = None
-    #: "thread" (shared warm cache) or "process" (persistent pool).
-    backend: str = "thread"
-    #: Process-pool size per (domain, engine) — process backend only.
-    workers: int = 2
     #: Admission-control bound on concurrently executing requests.
     max_inflight: int = 8
     #: Bounded-queue capacity for requests waiting on a slot.  0 (the
@@ -136,10 +123,6 @@ class ServerConfig:
                 "domain_budgets",
                 tuple(sorted(self.domain_budgets.items())),
             )
-        if self.backend not in ("thread", "process"):
-            raise ReproError(
-                f"unknown backend {self.backend!r}; use 'thread' or 'process'"
-            )
         if self.engine not in ("dggt", "hisyn"):
             raise ReproError(
                 f"unknown engine {self.engine!r}; use 'dggt' or 'hisyn'"
@@ -157,8 +140,6 @@ class ServerConfig:
                     f"domain budget for {name!r} must be a positive "
                     f"integer, got {slots!r}"
                 )
-        if self.workers < 1:
-            raise ReproError("workers must be >= 1")
         if self.default_timeout < 0 or self.max_timeout <= 0:
             raise ReproError("timeouts must be non-negative")
 
@@ -211,7 +192,6 @@ class SynthesisService:
             "requests_with_examples": 0, "verified": 0, "reranked": 0,
             "exhausted": 0,
         }
-        self._pools: Dict[Tuple[str, str], ProcessPoolExecutor] = {}
         # Every dispatched request runs with tracing on (the per-stage
         # overhead is two clock reads and a counter snapshot per stage);
         # the trace feeds the per-stage p50/p99 section of GET /stats and
@@ -380,19 +360,6 @@ class SynthesisService:
         engine = request.engine or self.config.engine
         if self._inject_delay_seconds > 0:
             time.sleep(self._inject_delay_seconds)
-        if self.config.backend == "process":
-            # Look up the pool and submit under one lock so a concurrent
-            # hot reload (which swaps pools) can never shut a pool down
-            # between the lookup and the submit.
-            with self._lock:
-                pool = self._pool_locked(state.domain.name, engine)
-                future = pool.submit(
-                    _process_worker_run, 0, request.query, timeout, True,
-                    request.examples,
-                )
-            # The worker enforces the deadline cooperatively; the grace
-            # period only guards against a wedged worker process.
-            return future.result(timeout=timeout + 30.0)
         synth = self._synthesizer(state, engine)
         # Per-query cache deltas race across concurrent server requests
         # (shared counters), so they are not recorded: scope is "batch".
@@ -427,29 +394,6 @@ class SynthesisService:
                 synth = Synthesizer(state.domain, engine=engine)
                 state.synthesizers[engine] = synth
             return synth
-
-    def _pool(self, domain_name: str, engine: str) -> ProcessPoolExecutor:
-        with self._lock:
-            return self._pool_locked(domain_name, engine)
-
-    def _pool_locked(
-        self, domain_name: str, engine: str
-    ) -> ProcessPoolExecutor:
-        """Get-or-create a worker pool; caller holds ``self._lock``."""
-        key = (domain_name, engine)
-        pool = self._pools.get(key)
-        if pool is None:
-            spec = Synthesizer(
-                self._domains[domain_name].domain, engine=engine
-            )._worker_spec(self._cache_dir)
-            pool = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                mp_context=_pool_context(),
-                initializer=_process_worker_init,
-                initargs=(spec,),
-            )
-            self._pools[key] = pool
-        return pool
 
     def _count(self, status: str) -> None:
         with self._lock:
@@ -515,7 +459,6 @@ class SynthesisService:
         payload = {
             "status": status,
             "uptime_seconds": round(time.monotonic() - self._started, 3),
-            "backend": self.config.backend,
             "engine": self.config.engine,
             "default_domain": self.default_domain,
             "max_inflight": self.config.max_inflight,
@@ -622,12 +565,8 @@ class SynthesisService:
         ``cache_dir`` (default: the directory currently in effect) into a
         *new* PathCache which is then reference-swapped in — requests
         already running keep the cache object they resolved, new requests
-        see the new one (:meth:`Domain.reload_cache`).  Under the process
-        backend the worker pools are replaced as well: old pools finish
-        the work already submitted to them and are reaped in the
-        background, new pools rebuild their domains (re-reading packs)
-        and preload the new snapshots.  A domain whose snapshot is
-        missing or stale keeps its current cache and reports
+        see the new one (:meth:`Domain.reload_cache`).  A domain whose
+        snapshot is missing or stale keeps its current cache and reports
         ``snapshot_loaded: false``.  Safe to call concurrently (calls
         serialize) and while serving traffic.
         """
@@ -651,8 +590,6 @@ class SynthesisService:
                     **pack_info,
                 }
             self._cache_dir = target_dir
-            if self.config.backend == "process":
-                self._restart_pools()
             with self._lock:
                 self._reloads += 1
                 reloads = self._reloads
@@ -692,25 +629,6 @@ class SynthesisService:
             state.snapshot_loaded = False
         return {"pack_reloaded": True}
 
-    def _restart_pools(self) -> None:
-        """Swap in fresh process pools (new workers preload the current
-        snapshots); old pools drain their submitted work in background
-        reaper threads, so no in-flight future is dropped."""
-        with self._lock:
-            old = dict(self._pools)
-            self._pools.clear()
-        for pool in old.values():
-            threading.Thread(
-                target=pool.shutdown,
-                kwargs={"wait": True},
-                name="repro-pool-reaper",
-                daemon=True,
-            ).start()
-        # Rebuild eagerly so the first post-reload request doesn't pay
-        # worker spin-up.
-        for domain_name, engine in old:
-            self._pool(domain_name, engine)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -729,18 +647,14 @@ class SynthesisService:
         return self._scheduler.drain(grace_seconds)
 
     def close(self) -> None:
-        """Release worker pools.  Idempotent; implies
+        """Mark the service closed.  Idempotent; implies
         :meth:`begin_shutdown`."""
         with self._lock:
             if self._closed:
                 return
             self._draining = True
             self._closed = True
-            pools = list(self._pools.values())
-            self._pools.clear()
         self._scheduler.begin_shutdown()
-        for pool in pools:
-            pool.shutdown(wait=True)
 
     def __enter__(self) -> "SynthesisService":
         return self
@@ -753,6 +667,5 @@ class SynthesisService:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SynthesisService(domains={sorted(self._domains)}, "
-            f"backend={self.config.backend!r}, "
             f"inflight={self.inflight}/{self.config.max_inflight})"
         )

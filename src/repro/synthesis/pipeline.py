@@ -312,9 +312,9 @@ def _process_worker_run(
     index: int,
     query: str,
     timeout_seconds: Optional[float],
-    collect_trace: bool = False,
-    examples=None,
-    candidates: Optional[int] = None,
+    collect_trace: bool,
+    examples,
+    candidates: Optional[int],
 ) -> BatchItem:
     """Task body executed in a pool worker.  Per-query deltas are exact
     here: each worker process runs its queries sequentially against its

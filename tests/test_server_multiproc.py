@@ -7,7 +7,10 @@ Two layers:
 * one real 2-worker cluster (a ``repro serve --http 0 --workers 2``
   subprocess) shared by the process-level tests: distinct worker
   identities, server-wide stats aggregation, ``/admin/reload`` and
-  SIGHUP fan-out, crash restart, and the graceful SIGTERM drain.
+  SIGHUP fan-out, crash restart, and the graceful SIGTERM drain;
+* a 2-worker cluster serving an edited domain pack, for the reload
+  state the supervisor owns: one reload per worker, a cluster-wide
+  ``cache_dir``, and restarted workers that serve the reloaded grammar.
 """
 
 import json
@@ -23,7 +26,9 @@ import pytest
 
 from repro import Synthesizer, load_domain
 from repro.client import HttpClient
+from repro.cli import build_serve_arg_parser, serve_main
 from repro.errors import ReproError
+from repro.packs import scaffold_pack
 from repro.server.http import SynthesisHTTPServer
 from repro.server.multiproc import (
     WorkerStatsBoard,
@@ -32,6 +37,7 @@ from repro.server.multiproc import (
     run_supervisor,
     write_port_file,
 )
+from tests.test_server_pack_reload import _edit_pack_add_dismiss
 
 QUERY = "print every line"
 
@@ -75,9 +81,27 @@ class TestRunSupervisorValidation:
         with pytest.raises(ReproError, match="workers must be >= 1"):
             run_supervisor(object(), workers=0)
 
-    def test_rejects_unknown_start_method(self):
-        with pytest.raises(ReproError, match="unknown start method"):
-            run_supervisor(object(), workers=1, start_method="threads")
+    def test_fails_fast_without_fork(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ReproError, match="os.fork"):
+            run_supervisor(object(), workers=2)
+        port_path = tmp_path / "serve.port"
+        code = serve_main([
+            "--http", "0", "--workers", "2", "--domains", "textediting",
+            "--port-file", str(port_path),
+        ])
+        assert code == 2
+        assert "os.fork" in capsys.readouterr().err
+        assert not port_path.exists()  # refused before binding
+
+    def test_serve_has_no_process_backend(self):
+        # The offline batch command keeps its process backend; serving
+        # scales out with --workers only.
+        with pytest.raises(SystemExit) as exc:
+            build_serve_arg_parser().parse_args(
+                ["--http", "0", "--backend", "process"]
+            )
+        assert exc.value.code == 2
 
     def test_bind_listener_rejects_taken_port(self):
         sock = bind_listener("127.0.0.1", 0)
@@ -228,22 +252,23 @@ class TestWorkerStatsBoard:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def cluster(tmp_path_factory):
-    """One ``repro serve --http 0 --workers 2`` process shared by the
-    process-level tests (startup builds a domain; no point paying that
-    per test).  Yields (proc, client, port_path)."""
-    tmp_path = tmp_path_factory.mktemp("multiproc")
-    port_path = tmp_path / "serve.port"
+def _repro_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _boot_cluster(tmp_path, *serve_args):
+    """Start ``repro serve --http 0 --workers 2 SERVE_ARGS`` and wait
+    until both workers hold a stats seat.  Returns (proc, client,
+    port_path)."""
+    port_path = tmp_path / "serve.port"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--http", "0",
-         "--workers", "2", "--port-file", str(port_path),
-         "--domains", "textediting", "--queue-depth", "4"],
+         "--workers", "2", "--port-file", str(port_path), *serve_args],
         stderr=subprocess.PIPE,
         text=True,
-        env=env,
+        env=_repro_env(),
     )
     deadline = time.monotonic() + 120
     port = None
@@ -269,11 +294,27 @@ def cluster(tmp_path_factory):
     assert wait_until(
         lambda: client.stats().get("n_workers") == 2, timeout=60.0
     ), client.stats()
-    yield proc, client, port_path
+    return proc, client, port_path
+
+
+def _stop_cluster(proc, client):
     client.close()
     if proc.poll() is None:
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=90)
+
+
+@pytest.fixture(scope="module")
+def cluster(tmp_path_factory):
+    """One ``repro serve --http 0 --workers 2`` process shared by the
+    process-level tests (startup builds a domain; no point paying that
+    per test).  Yields (proc, client, port_path)."""
+    proc, client, port_path = _boot_cluster(
+        tmp_path_factory.mktemp("multiproc"),
+        "--domains", "textediting", "--queue-depth", "4",
+    )
+    yield proc, client, port_path
+    _stop_cluster(proc, client)
 
 
 def _merged_stats(client):
@@ -363,3 +404,118 @@ class TestMultiWorkerCluster:
         stderr = proc.stderr.read()
         assert code == 0, stderr
         assert "all workers drained and exited" in stderr
+
+
+# ---------------------------------------------------------------------------
+# Reload state owned by the supervisor
+# ---------------------------------------------------------------------------
+
+
+def _client_on_worker(port, worker_id, timeout=30.0):
+    """A keep-alive client whose connection landed on ``worker_id``
+    (every request it sends is answered by that worker)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        client = HttpClient(port=port)
+        if client.health()["worker"]["id"] == worker_id:
+            return client
+        client.close()
+    raise AssertionError(f"no connection reached worker {worker_id}")
+
+
+def _health_per_worker(port):
+    """``/healthz`` from each of the two workers, collected over fresh
+    connections until both ids have answered."""
+    answers = {}
+    for worker_id in (0, 1):
+        with _client_on_worker(port, worker_id) as client:
+            answers[worker_id] = client.health()
+    return answers
+
+
+def _seat_reloads(client):
+    return {
+        worker_id: seat["reloads"]
+        for worker_id, seat in _merged_stats(client)["workers"].items()
+    }
+
+
+def _assert_each_worker_reloaded_once(client, before):
+    expected = {worker_id: n + 1 for worker_id, n in before.items()}
+    assert wait_until(
+        lambda: all(
+            n >= expected[w] for w, n in _seat_reloads(client).items()
+        ),
+        timeout=30.0,
+    ), _seat_reloads(client)
+    # A second reload of any worker (the old fan-out reloaded the
+    # handling worker twice) would land within a few publish intervals.
+    time.sleep(1.0)
+    assert _seat_reloads(client) == expected
+
+
+class TestClusterReload:
+    def test_reload_reaches_every_worker_and_restarts(self, tmp_path):
+        pack = scaffold_pack(tmp_path / "packs", "hotdemo")
+        boot_dir = tmp_path / "boot-cache"
+        warm_dir = tmp_path / "warm-cache"
+        boot_dir.mkdir()
+        proc, client, port_path = _boot_cluster(
+            tmp_path, "--pack-dir", str(pack), "--domains", "hotdemo",
+            "--cache-dir", str(boot_dir),
+        )
+        port = int(port_path.read_text())
+        try:
+            # An edited pack reaches both workers, each reloading once.
+            before = _seat_reloads(client)
+            _edit_pack_add_dismiss(pack)
+            result = client.reload()
+            assert result["domains"]["hotdemo"]["pack_reloaded"] is True
+            new_hash = result["domains"]["hotdemo"]["grammar_hash"]
+            _assert_each_worker_reloaded_once(client, before)
+            for health in _health_per_worker(port).values():
+                assert health["domains"]["hotdemo"]["grammar_hash"] \
+                    == new_hash
+
+            # A cache_dir sent to one worker is adopted by both.
+            subprocess.run(
+                [sys.executable, "-m", "repro", "cache", "warm",
+                 "--pack-dir", str(pack), "--domain", "hotdemo",
+                 "--cache-dir", str(warm_dir)],
+                env=_repro_env(), check=True, capture_output=True,
+            )
+            before = _seat_reloads(client)
+            client.reload(cache_dir=str(warm_dir))
+            _assert_each_worker_reloaded_once(client, before)
+            for health in _health_per_worker(port).values():
+                info = health["domains"]["hotdemo"]
+                assert info["snapshot_loaded"] is True
+                assert info["snapshot_file"].startswith(
+                    str(warm_dir) + os.sep
+                )
+
+            # A worker restarted after the reloads forks from the
+            # supervisor's reloaded state: edited grammar, new cache dir.
+            victim_pid = _merged_stats(client)["workers"]["0"]["pid"]
+            os.kill(victim_pid, signal.SIGKILL)
+
+            def replaced():
+                seat = client.stats().get("workers", {}).get("0")
+                return seat is not None and seat["pid"] != victim_pid
+
+            assert wait_until(replaced, timeout=60.0), client.stats()
+            restarted = _client_on_worker(port, 0)
+            try:
+                info = restarted.health()["domains"]["hotdemo"]
+                assert info["grammar_hash"] == new_hash
+                assert info["snapshot_file"].startswith(
+                    str(warm_dir) + os.sep
+                )
+                payload = restarted.synthesize(
+                    "dismiss every alert", domain="hotdemo"
+                )
+                assert payload["codelet"] == "DISMISS(ALERTS())"
+            finally:
+                restarted.close()
+        finally:
+            _stop_cluster(proc, client)
