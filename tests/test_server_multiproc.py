@@ -302,6 +302,7 @@ def _stop_cluster(proc, client):
     if proc.poll() is None:
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=90)
+    proc.stderr.close()
 
 
 @pytest.fixture(scope="module")
